@@ -22,19 +22,32 @@ FwdNetlist::FwdNetlist(CoreKind kind)
       nl_(instance_style(kind)) {
   const bool c64 = kind == CoreKind::kC;
 
+  struct Port {
+    std::array<NetId, 3> sel;
+    NetId high = kNoNet;  // core C only
+    std::vector<NetId> rf;
+    std::array<std::vector<NetId>, 4> cand;
+  };
+  std::array<Port, 4> ports;
+
   // Primary inputs, port-major, in a fixed order (the encode() contract).
-  for (auto& port : ports_) {
-    for (auto& s : port.sel) s = nl_.input();
-    if (c64) port.high = nl_.input();
+  for (u8 c = 0; c < 4; ++c) {
+    Port& port = ports[c];
+    const auto input = [&](Field field, unsigned bit) {
+      input_bits_.push_back(InputBit{c, field, static_cast<u8>(bit)});
+      return nl_.input();
+    };
+    for (unsigned b = 0; b < 3; ++b) port.sel[b] = input(Field::kSel, b);
+    if (c64) port.high = input(Field::kHigh, 0);
     port.rf.resize(width_);
-    for (auto& n : port.rf) n = nl_.input();
-    for (auto& cand : port.cand) {
-      cand.resize(width_);
-      for (auto& n : cand) n = nl_.input();
+    for (unsigned i = 0; i < width_; ++i) port.rf[i] = input(Field::kRf, i);
+    for (unsigned j = 0; j < 4; ++j) {
+      port.cand[j].resize(width_);
+      for (unsigned i = 0; i < width_; ++i) port.cand[j][i] = input(static_cast<Field>(j), i);
     }
   }
 
-  for (auto& port : ports_) {
+  for (Port& port : ports) {
     // One-hot select decode: dec[j] asserts for encoded value j+1; rf_sel for 0.
     auto sel_is = [&](unsigned v) {
       std::array<NetId, 3> bits;
@@ -64,38 +77,28 @@ FwdNetlist::FwdNetlist(CoreKind kind)
       }
     }
 
-    port.out.resize(width_);
     for (unsigned i = 0; i < width_; ++i)
-      port.out[i] = nl_.mux2(rf_sel, port.rf[i], shifted[i]);
-
-    outputs_.insert(outputs_.end(), port.out.begin(), port.out.end());
+      outputs_.push_back(nl_.mux2(rf_sel, port.rf[i], shifted[i]));
   }
 }
 
 void FwdNetlist::encode(const FwdIn& in, EvalState& s) const {
-  for (unsigned c = 0; c < 4; ++c) {
-    const cpu::FwdPortIn& p = in.port[c];
-    const Port& port = ports_[c];
-    const auto sel = static_cast<unsigned>(p.sel);
-    for (unsigned b = 0; b < 3; ++b)
-      s.set_input(nl_.gate(port.sel[b]).aux, (sel >> b) & 1);
-    if (port.high != kNoNet) s.set_input(nl_.gate(port.high).aux, p.high_half);
-    for (unsigned i = 0; i < width_; ++i)
-      s.set_input(nl_.gate(port.rf[i]).aux, (p.rf >> i) & 1);
-    for (unsigned j = 0; j < 4; ++j)
-      for (unsigned i = 0; i < width_; ++i)
-        s.set_input(nl_.gate(port.cand[j][i]).aux, (p.cand[j] >> i) & 1);
-  }
+  for (u32 i = 0; i < nl_.num_inputs(); ++i) s.set_input(i, input_bit(in, i));
 }
 
 FwdOut FwdNetlist::decode(const EvalState& s, unsigned lane) const {
   FwdOut out;
-  for (unsigned c = 0; c < 4; ++c) {
-    u64 v = 0;
-    for (unsigned i = 0; i < width_; ++i)
-      v |= static_cast<u64>(s.lane_bit(ports_[c].out[i], lane)) << i;
-    out.operand[c] = v;
-  }
+  for (u32 pos = 0; pos < outputs_.size(); ++pos)
+    set_output_bit(out, pos, s.lane_bit(outputs_[pos], lane));
+  return out;
+}
+
+FwdOut FwdNetlist::behavioral(const FwdIn& in) const {
+  if (width_ == 64) return cpu::fwd_behavioral(in);
+  FwdIn narrow = in;
+  for (cpu::FwdPortIn& p : narrow.port) p.high_half = false;
+  FwdOut out = cpu::fwd_behavioral(narrow);
+  for (u64& v : out.operand) v &= 0xffffffffull;
   return out;
 }
 

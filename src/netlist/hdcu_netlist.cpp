@@ -5,17 +5,40 @@ namespace detstl::netlist {
 HdcuNetlist::HdcuNetlist(CoreKind kind) : kind_(kind), nl_(instance_style(kind)) {
   const bool c64 = kind == CoreKind::kC;
 
+  struct Consumer {
+    std::array<NetId, 5> rs;
+    NetId used = kNoNet;
+    NetId is64 = kNoNet;  // core C only
+  };
+  struct Producer {
+    std::array<NetId, 5> rd;
+    NetId writes = kNoNet;
+    NetId is64 = kNoNet;  // core C only
+    NetId is_load = kNoNet;
+  };
+  std::array<Consumer, 4> consumers;
+  std::array<Producer, 4> producers;
+  std::array<std::array<NetId, 3>, 4> sel_out;
+  std::array<NetId, 4> high_out;
+
   // Primary inputs: consumers then producers (the encode() contract).
-  for (auto& c : cons_) {
-    for (auto& n : c.rs) n = nl_.input();
-    c.used = nl_.input();
-    if (c64) c.is64 = nl_.input();
+  u8 slot = 0;
+  const auto input = [&](Field field, unsigned bit) {
+    input_bits_.push_back(InputBit{slot, field, static_cast<u8>(bit)});
+    return nl_.input();
+  };
+  for (slot = 0; slot < 4; ++slot) {
+    Consumer& c = consumers[slot];
+    for (unsigned b = 0; b < 5; ++b) c.rs[b] = input(Field::kRs, b);
+    c.used = input(Field::kUsed, 0);
+    if (c64) c.is64 = input(Field::kCons64, 0);
   }
-  for (auto& p : prod_) {
-    for (auto& n : p.rd) n = nl_.input();
-    p.writes = nl_.input();
-    if (c64) p.is64 = nl_.input();
-    p.is_load = nl_.input();
+  for (slot = 0; slot < 4; ++slot) {
+    Producer& p = producers[slot];
+    for (unsigned b = 0; b < 5; ++b) p.rd[b] = input(Field::kRd, b);
+    p.writes = input(Field::kWrites, 0);
+    if (c64) p.is64 = input(Field::kProd64, 0);
+    p.is_load = input(Field::kIsLoad, 0);
   }
 
   const NetId zero = nl_.constant(false);
@@ -24,13 +47,13 @@ HdcuNetlist::HdcuNetlist(CoreKind kind) : kind_(kind), nl_(instance_style(kind))
   std::array<std::vector<NetId>, 4> rd_plus1;
   if (c64) {
     for (unsigned p = 0; p < 4; ++p)
-      rd_plus1[p] = nl_.inc_n(std::span<const NetId>(prod_[p].rd));
+      rd_plus1[p] = nl_.inc_n(std::span<const NetId>(producers[p].rd));
   }
 
   std::array<NetId, 4> stall_c{};
 
   for (unsigned c = 0; c < 4; ++c) {
-    const Consumer& cons = cons_[c];
+    const Consumer& cons = consumers[c];
     const NetId nz = nl_.or_n(std::span<const NetId>(cons.rs));
     std::vector<NetId> rs_plus1;
     if (c64) rs_plus1 = nl_.inc_n(std::span<const NetId>(cons.rs));
@@ -38,7 +61,7 @@ HdcuNetlist::HdcuNetlist(CoreKind kind) : kind_(kind), nl_(instance_style(kind))
     // Per-producer match / match-kind signals.
     std::array<NetId, 4> match{}, high{}, stall_cause{};
     for (unsigned p = 0; p < 4; ++p) {
-      const Producer& prod = prod_[p];
+      const Producer& prod = producers[p];
       const bool dist1 = p < 2;  // EXMEM producers
       const NetId e0 = nl_.eq_n(std::span<const NetId>(cons.rs),
                                 std::span<const NetId>(prod.rd));
@@ -83,57 +106,43 @@ HdcuNetlist::HdcuNetlist(CoreKind kind) : kind_(kind), nl_(instance_style(kind))
     // Select encoding: EXMEM0=001, EXMEM1=010, MEMWB0=011, MEMWB1=100.
     std::array<NetId, 4> g;
     for (unsigned p = 0; p < 4; ++p) g[p] = nl_.and2(granted[p], notst);
-    sel_out_[c][0] = nl_.or2(g[0], g[2]);
-    sel_out_[c][1] = nl_.or2(g[1], g[2]);
-    sel_out_[c][2] = g[3];
+    sel_out[c][0] = nl_.or2(g[0], g[2]);
+    sel_out[c][1] = nl_.or2(g[1], g[2]);
+    sel_out[c][2] = g[3];
 
     if (c64) {
       std::array<NetId, 4> gh;
       for (unsigned p = 0; p < 4; ++p) gh[p] = nl_.and2(g[p], high[p]);
-      high_out_[c] = nl_.or_n(gh);
+      high_out[c] = nl_.or_n(gh);
     } else {
-      high_out_[c] = zero;
+      high_out[c] = zero;
     }
   }
 
-  stall_out_ = nl_.or_n(stall_c);
-
+  // Output order: the set_output_bit() contract.
   for (unsigned c = 0; c < 4; ++c) {
-    outputs_.insert(outputs_.end(), sel_out_[c].begin(), sel_out_[c].end());
-    outputs_.push_back(high_out_[c]);
+    outputs_.insert(outputs_.end(), sel_out[c].begin(), sel_out[c].end());
+    outputs_.push_back(high_out[c]);
   }
-  outputs_.push_back(stall_out_);
+  outputs_.push_back(nl_.or_n(stall_c));
 }
 
 void HdcuNetlist::encode(const HdcuIn& in, EvalState& s) const {
-  for (unsigned c = 0; c < 4; ++c) {
-    const cpu::HdcuConsumer& hc = in.cons[c];
-    for (unsigned b = 0; b < 5; ++b)
-      s.set_input(nl_.gate(cons_[c].rs[b]).aux, (hc.rs >> b) & 1);
-    s.set_input(nl_.gate(cons_[c].used).aux, hc.used);
-    if (cons_[c].is64 != kNoNet) s.set_input(nl_.gate(cons_[c].is64).aux, hc.is64);
-  }
-  for (unsigned p = 0; p < 4; ++p) {
-    const cpu::HdcuProducer& hp = in.prod[p];
-    for (unsigned b = 0; b < 5; ++b)
-      s.set_input(nl_.gate(prod_[p].rd[b]).aux, (hp.rd >> b) & 1);
-    s.set_input(nl_.gate(prod_[p].writes).aux, hp.writes);
-    if (prod_[p].is64 != kNoNet) s.set_input(nl_.gate(prod_[p].is64).aux, hp.is64);
-    s.set_input(nl_.gate(prod_[p].is_load).aux, hp.is_load);
-  }
+  for (u32 i = 0; i < nl_.num_inputs(); ++i) s.set_input(i, input_bit(in, i));
 }
 
 HdcuOut HdcuNetlist::decode(const EvalState& s, unsigned lane) const {
   HdcuOut out;
-  for (unsigned c = 0; c < 4; ++c) {
-    unsigned sel = 0;
-    for (unsigned b = 0; b < 3; ++b)
-      sel |= static_cast<unsigned>(s.lane_bit(sel_out_[c][b], lane)) << b;
-    out.sel[c] = static_cast<cpu::FwdSel>(sel);
-    out.high_half[c] = s.lane_bit(high_out_[c], lane);
-  }
-  out.stall = s.lane_bit(stall_out_, lane);
+  for (u32 pos = 0; pos < outputs_.size(); ++pos)
+    set_output_bit(out, pos, s.lane_bit(outputs_[pos], lane));
   return out;
+}
+
+HdcuOut HdcuNetlist::behavioral(const HdcuIn& in) const {
+  if (kind_ == CoreKind::kC) return cpu::hdcu_behavioral(kind_, in);
+  HdcuIn narrow = in;
+  for (cpu::HdcuProducer& p : narrow.prod) p.is64 = false;
+  return cpu::hdcu_behavioral(kind_, narrow);
 }
 
 }  // namespace detstl::netlist

@@ -42,25 +42,50 @@ class FwdNetlist {
   unsigned width() const { return width_; }
   const Netlist& nl() const { return nl_; }
 
+  /// Value of primary input `input_idx` for `in`: the per-bit form of
+  /// encode(). Inputs are port-major: sel[3], high (core C), rf[width],
+  /// cand[4][width].
+  bool input_bit(const FwdIn& in, u32 input_idx) const {
+    const InputBit& b = input_bits_[input_idx];
+    const cpu::FwdPortIn& p = in.port[b.port];
+    u64 v = 0;
+    switch (b.field) {
+      case Field::kSel: v = static_cast<u64>(p.sel); break;
+      case Field::kHigh: v = p.high_half; break;
+      case Field::kRf: v = p.rf; break;
+      default: v = p.cand[static_cast<unsigned>(b.field)]; break;
+    }
+    return (v >> b.bit) & 1;
+  }
   void encode(const FwdIn& in, EvalState& s) const;
   FwdOut decode(const EvalState& s, unsigned lane) const;
+  /// Write output `pos` (an index into outputs(): port-major, width() bits
+  /// per port) into `out`.
+  void set_output_bit(FwdOut& out, u32 pos, bool v) const {
+    u64& w = out.operand[pos / width_];
+    const u64 m = 1ull << (pos % width_);
+    w = v ? (w | m) : (w & ~m);
+  }
+  /// The fault-free netlist's function, computed by the behavioural model
+  /// over the inputs the netlist has: 32-bit cores have no high-half input
+  /// and drive only width() bits.
+  FwdOut behavioral(const FwdIn& in) const;
 
   /// Output nets, for divergence screening.
   const std::vector<NetId>& outputs() const { return outputs_; }
 
  private:
-  struct Port {
-    std::array<NetId, 3> sel;
-    NetId high = kNoNet;  // core C only
-    std::vector<NetId> rf;
-    std::array<std::vector<NetId>, 4> cand;
-    std::vector<NetId> out;
+  enum class Field : u8 { kCand0, kCand1, kCand2, kCand3, kRf, kSel, kHigh };
+  struct InputBit {
+    u8 port;
+    Field field;
+    u8 bit;
   };
 
   CoreKind kind_;
   unsigned width_;
   Netlist nl_;
-  std::array<Port, 4> ports_;
+  std::vector<InputBit> input_bits_;  // by primary-input index
   std::vector<NetId> outputs_;
 };
 
@@ -75,31 +100,56 @@ class HdcuNetlist {
   CoreKind kind() const { return kind_; }
   const Netlist& nl() const { return nl_; }
 
+  /// Value of primary input `input_idx` for `in`: the per-bit form of
+  /// encode(). Inputs are consumers (rs[5], used, is64 on core C) then
+  /// producers (rd[5], writes, is64 on core C, is_load).
+  bool input_bit(const HdcuIn& in, u32 input_idx) const {
+    const InputBit& b = input_bits_[input_idx];
+    const cpu::HdcuConsumer& c = in.cons[b.slot];
+    const cpu::HdcuProducer& p = in.prod[b.slot];
+    switch (b.field) {
+      case Field::kRs: return (c.rs >> b.bit) & 1;
+      case Field::kUsed: return c.used;
+      case Field::kCons64: return c.is64;
+      case Field::kRd: return (p.rd >> b.bit) & 1;
+      case Field::kWrites: return p.writes;
+      case Field::kProd64: return p.is64;
+      case Field::kIsLoad: return p.is_load;
+    }
+    return false;
+  }
   void encode(const HdcuIn& in, EvalState& s) const;
   HdcuOut decode(const EvalState& s, unsigned lane) const;
+  /// Write output `pos` into `out`. outputs() holds, per port, sel[3] and
+  /// high, then the stall line.
+  void set_output_bit(HdcuOut& out, u32 pos, bool v) const {
+    if (pos == 16) {
+      out.stall = v;
+    } else if (pos % 4 == 3) {
+      out.high_half[pos / 4] = v;
+    } else {
+      const unsigned m = 1u << (pos % 4);
+      const auto sel = static_cast<unsigned>(out.sel[pos / 4]);
+      out.sel[pos / 4] = static_cast<cpu::FwdSel>(v ? (sel | m) : (sel & ~m));
+    }
+  }
+  /// The fault-free netlist's function, computed by the behavioural model
+  /// over the inputs the netlist has: 32-bit cores have no is64 inputs.
+  HdcuOut behavioral(const HdcuIn& in) const;
 
   const std::vector<NetId>& outputs() const { return outputs_; }
 
  private:
-  struct Consumer {
-    std::array<NetId, 5> rs;
-    NetId used = kNoNet;
-    NetId is64 = kNoNet;  // core C only
-  };
-  struct Producer {
-    std::array<NetId, 5> rd;
-    NetId writes = kNoNet;
-    NetId is64 = kNoNet;  // core C only
-    NetId is_load = kNoNet;
+  enum class Field : u8 { kRs, kUsed, kCons64, kRd, kWrites, kProd64, kIsLoad };
+  struct InputBit {
+    u8 slot;  // consumer or producer index
+    Field field;
+    u8 bit;
   };
 
   CoreKind kind_;
   Netlist nl_;
-  std::array<Consumer, 4> cons_;
-  std::array<Producer, 4> prod_;
-  std::array<std::array<NetId, 3>, 4> sel_out_;
-  std::array<NetId, 4> high_out_;
-  NetId stall_out_ = kNoNet;
+  std::vector<InputBit> input_bits_;  // by primary-input index
   std::vector<NetId> outputs_;
 };
 

@@ -1,5 +1,7 @@
 #include "netlist/netlist.h"
 
+#include <algorithm>
+
 namespace detstl::netlist {
 
 NetId Netlist::input() { return add_raw(GateOp::kInput, kNoNet, kNoNet, num_inputs_++); }
@@ -128,27 +130,71 @@ EvalState Netlist::make_state() const {
   return s;
 }
 
+namespace {
+
+/// One net's value under the fault overlay; shared by every evaluator.
+inline void eval_net(const Gate& g, NetId n, EvalState& s) {
+  u64 v = 0;
+  switch (g.op) {
+    case GateOp::kInput: v = s.inputs[g.aux]; break;
+    case GateOp::kConst0: v = 0; break;
+    case GateOp::kConst1: v = ~0ull; break;
+    case GateOp::kBuf: v = s.value[g.a]; break;
+    case GateOp::kNot: v = ~s.value[g.a]; break;
+    case GateOp::kAnd: v = s.value[g.a] & s.value[g.b]; break;
+    case GateOp::kOr: v = s.value[g.a] | s.value[g.b]; break;
+    case GateOp::kNand: v = ~(s.value[g.a] & s.value[g.b]); break;
+    case GateOp::kNor: v = ~(s.value[g.a] | s.value[g.b]); break;
+    case GateOp::kXor: v = s.value[g.a] ^ s.value[g.b]; break;
+    case GateOp::kXnor: v = ~(s.value[g.a] ^ s.value[g.b]); break;
+    case GateOp::kDff: v = s.flops[g.aux]; break;
+  }
+  s.value[n] = (v | s.force1[n]) & ~s.force0[n];
+}
+
+}  // namespace
+
 void Netlist::eval(EvalState& s) const {
   assert(s.value.size() == gates_.size());
-  for (NetId n = 0; n < gates_.size(); ++n) {
-    const Gate& g = gates_[n];
-    u64 v = 0;
-    switch (g.op) {
-      case GateOp::kInput: v = s.inputs[g.aux]; break;
-      case GateOp::kConst0: v = 0; break;
-      case GateOp::kConst1: v = ~0ull; break;
-      case GateOp::kBuf: v = s.value[g.a]; break;
-      case GateOp::kNot: v = ~s.value[g.a]; break;
-      case GateOp::kAnd: v = s.value[g.a] & s.value[g.b]; break;
-      case GateOp::kOr: v = s.value[g.a] | s.value[g.b]; break;
-      case GateOp::kNand: v = ~(s.value[g.a] & s.value[g.b]); break;
-      case GateOp::kNor: v = ~(s.value[g.a] | s.value[g.b]); break;
-      case GateOp::kXor: v = s.value[g.a] ^ s.value[g.b]; break;
-      case GateOp::kXnor: v = ~(s.value[g.a] ^ s.value[g.b]); break;
-      case GateOp::kDff: v = s.flops[g.aux]; break;
+  for (NetId n = 0; n < gates_.size(); ++n) eval_net(gates_[n], n, s);
+}
+
+void Netlist::eval_gates(EvalState& s, std::span<const NetId> gates) const {
+  assert(s.value.size() == gates_.size());
+  for (const NetId n : gates) eval_net(gates_[n], n, s);
+}
+
+std::vector<NetId> Netlist::fault_cone(NetId net, std::span<const NetId> outputs,
+                                       std::vector<u32>& affected) const {
+  assert(num_flops_ == 0 && "fault cones do not cross flops");
+  assert(net == kNoNet || net < gates_.size());
+  constexpr u8 kFanout = 1, kNeeded = 2;
+  std::vector<u8> mark(gates_.size(), 0);
+  // Operands precede their gate, so one forward sweep finds the fan-out cone.
+  if (net != kNoNet) {
+    mark[net] = kFanout;
+    for (NetId n = net + 1; n < gates_.size(); ++n) {
+      const Gate& g = gates_[n];
+      if ((g.a != kNoNet && mark[g.a]) || (g.b != kNoNet && mark[g.b])) mark[n] = kFanout;
     }
-    s.value[n] = (v | s.force1[n]) & ~s.force0[n];
   }
+  affected.clear();
+  for (u32 i = 0; i < outputs.size(); ++i) {
+    if (net != kNoNet && !(mark[outputs[i]] & kFanout)) continue;
+    affected.push_back(i);
+    mark[outputs[i]] |= kNeeded;
+  }
+  // ...and one backward sweep its fan-in closure.
+  std::vector<NetId> gates;
+  for (NetId n = static_cast<NetId>(gates_.size()); n-- > 0;) {
+    if (!(mark[n] & kNeeded)) continue;
+    gates.push_back(n);
+    const Gate& g = gates_[n];
+    if (g.a != kNoNet) mark[g.a] |= kNeeded;
+    if (g.b != kNoNet) mark[g.b] |= kNeeded;
+  }
+  std::reverse(gates.begin(), gates.end());
+  return gates;
 }
 
 void Netlist::clock(EvalState& s) const {

@@ -124,8 +124,21 @@ class Netlist {
   /// Combinational pass: computes every net from inputs + flop values,
   /// applying the fault overlay.
   void eval(EvalState& s) const;
+  /// eval() restricted to `gates`, which must be in topological order (as
+  /// fault_cone() returns them). Nets outside the list keep stale values.
+  void eval_gates(EvalState& s, std::span<const NetId> gates) const;
   /// Commit flop state (call after eval, with the same inputs).
   void clock(EvalState& s) const;
+
+  /// The gates a stuck-at on `net` can change, plus everything they read:
+  /// the topologically ordered fan-in closure of those `outputs` that lie in
+  /// `net`'s fan-out cone. Their positions in `outputs` (an output listed
+  /// twice appears twice) are written to `affected`. `net == kNoNet` selects
+  /// every output, i.e. the fault-free cone. Every other output equals the
+  /// fault-free netlist whatever the fault. Combinational netlists only: a
+  /// flop would carry the fault's effect into later evaluations.
+  std::vector<NetId> fault_cone(NetId net, std::span<const NetId> outputs,
+                                std::vector<u32>& affected) const;
 
   /// Clear the fault overlay / inject one fault into the given lanes.
   static void clear_faults(EvalState& s);

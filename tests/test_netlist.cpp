@@ -3,7 +3,13 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <array>
+#include <optional>
+
 #include "common/rng.h"
+#include "core/routines.h"
+#include "exp/experiments.h"
 #include "netlist/adapters.h"
 
 namespace detstl::netlist {
@@ -196,6 +202,154 @@ TEST(NetlistEngine, LaneIndependenceUnderDistinctFaults) {
 }
 
 // ----------------------------------------------------------------------------
+// Fault cones: Netlist::fault_cone + eval_gates
+// ----------------------------------------------------------------------------
+
+/// For every input vector of a small netlist: the outputs in `f`'s cone,
+/// computed by eval_gates over the cone alone, equal the full faulty
+/// netlist; every other output of the full faulty netlist equals the
+/// fault-free netlist.
+void expect_cone_exact(const Netlist& nl, std::span<const NetId> outputs, const Fault& f) {
+  std::vector<u32> affected;
+  const std::vector<NetId> cone = nl.fault_cone(f.net, outputs, affected);
+  EvalState full = nl.make_state(), good = nl.make_state(), part = nl.make_state();
+  Netlist::inject(full, f, ~0ull);
+  Netlist::inject(part, f, ~0ull);
+  for (u32 v = 0; v < (1u << nl.num_inputs()); ++v) {
+    for (u32 i = 0; i < nl.num_inputs(); ++i) {
+      const bool b = (v >> i) & 1;
+      full.set_input(i, b);
+      good.set_input(i, b);
+      part.set_input(i, b);
+    }
+    nl.eval(full);
+    nl.eval(good);
+    nl.eval_gates(part, cone);
+    for (u32 pos = 0; pos < outputs.size(); ++pos) {
+      const bool in_cone = std::find(affected.begin(), affected.end(), pos) != affected.end();
+      EXPECT_EQ(full.lane_bit(outputs[pos], 0), (in_cone ? part : good).lane_bit(outputs[pos], 0))
+          << "fault net " << f.net << " sa" << f.stuck1 << " output " << pos << " v " << v;
+    }
+  }
+}
+
+/// a, b, c -> x = a&b fans out to p = x&c and q = ~(x|c), which reconverge
+/// in r = p^q; o2 = b|c lies outside x's fan-out; dead = a^c is unobserved.
+struct SmallNet {
+  Netlist nl;
+  NetId a, b, c, x, p, q, r, o2, dead;
+  SmallNet()
+      : a(nl.input()), b(nl.input()), c(nl.input()), x(nl.and2(a, b)),
+        p(nl.and2(x, c)), q(nl.nor2(x, c)), r(nl.xor2(p, q)), o2(nl.or2(b, c)),
+        dead(nl.xor2(a, c)) {}
+};
+
+TEST(FaultCone, ReconvergentFanout) {
+  const SmallNet n;
+  const std::vector<NetId> outs = {n.r, n.o2};
+  std::vector<u32> affected;
+  EXPECT_EQ(n.nl.fault_cone(n.x, outs, affected),
+            (std::vector<NetId>{n.a, n.b, n.c, n.x, n.p, n.q, n.r}));
+  EXPECT_EQ(affected, std::vector<u32>{0});
+  for (const Fault& f : n.nl.fault_list()) expect_cone_exact(n.nl, outs, f);
+}
+
+TEST(FaultCone, PrimaryInputFault) {
+  const SmallNet n;
+  const std::vector<NetId> outs = {n.r, n.o2};
+  std::vector<u32> affected;
+  // The input net itself is in its cone, so its force applies.
+  EXPECT_EQ(n.nl.fault_cone(n.a, outs, affected),
+            (std::vector<NetId>{n.a, n.b, n.c, n.x, n.p, n.q, n.r}));
+  EXPECT_EQ(affected, std::vector<u32>{0});
+  EXPECT_EQ(n.nl.fault_cone(n.b, outs, affected).size(), 8u);  // everything but `dead`
+  EXPECT_EQ(affected, (std::vector<u32>{0, 1}));
+  expect_cone_exact(n.nl, outs, Fault{n.a, true});
+  expect_cone_exact(n.nl, outs, Fault{n.c, false});
+}
+
+TEST(FaultCone, OutputNetFault) {
+  const SmallNet n;
+  const std::vector<NetId> outs = {n.r, n.o2};
+  std::vector<u32> affected;
+  EXPECT_EQ(n.nl.fault_cone(n.o2, outs, affected), (std::vector<NetId>{n.b, n.c, n.o2}));
+  EXPECT_EQ(affected, std::vector<u32>{1});
+  expect_cone_exact(n.nl, outs, Fault{n.o2, true});
+  expect_cone_exact(n.nl, outs, Fault{n.r, false});
+}
+
+TEST(FaultCone, DuplicateAndConstantOutputs) {
+  SmallNet n;
+  const NetId one = n.nl.constant(true);
+  const std::vector<NetId> outs = {n.r, one, n.r, n.o2};
+  std::vector<u32> affected;
+  n.nl.fault_cone(n.p, outs, affected);
+  EXPECT_EQ(affected, (std::vector<u32>{0, 2}));
+  // The fault-free cone covers every output, constants included.
+  const std::vector<NetId> all = n.nl.fault_cone(kNoNet, outs, affected);
+  EXPECT_EQ(affected, (std::vector<u32>{0, 1, 2, 3}));
+  EXPECT_EQ(all, (std::vector<NetId>{n.a, n.b, n.c, n.x, n.p, n.q, n.r, n.o2, one}));
+  EvalState s = n.nl.make_state();
+  n.nl.eval_gates(s, all);
+  EXPECT_TRUE(s.lane_bit(one, 0));
+  for (const Fault& f : n.nl.fault_list()) expect_cone_exact(n.nl, outs, f);
+}
+
+TEST(FaultCone, UnobservedFaultHasEmptyCone) {
+  const SmallNet n;
+  const std::vector<NetId> outs = {n.r, n.o2};
+  std::vector<u32> affected = {7};
+  EXPECT_TRUE(n.nl.fault_cone(n.dead, outs, affected).empty());
+  EXPECT_TRUE(affected.empty());
+  expect_cone_exact(n.nl, outs, Fault{n.dead, true});
+}
+
+TEST(FaultCone, RejectsSequentialNetlists) {
+  Netlist nl;
+  const NetId q = nl.dff();
+  nl.connect_dff(q, nl.not_(q));
+  std::vector<u32> affected;
+  const std::vector<NetId> outs = {q};
+  EXPECT_DEBUG_DEATH(nl.fault_cone(q, outs, affected), "flops");
+}
+
+/// A stand-in module for ConeEval over SmallNet (inputs a, b, c = bits 0-2;
+/// outputs r, o2 = bits 0-1) whose "behavioural model" deliberately answers
+/// the complement of the netlist, so the test sees which outputs ConeEval
+/// patches from the cone and which it takes from the model.
+struct ComplementModule {
+  SmallNet n;
+  std::vector<NetId> outs = {n.r, n.o2};
+  const Netlist& nl() const { return n.nl; }
+  const std::vector<NetId>& outputs() const { return outs; }
+  bool input_bit(u32 in, u32 idx) const { return (in >> idx) & 1; }
+  void set_output_bit(u32& out, u32 pos, bool v) const {
+    out = (out & ~(1u << pos)) | (static_cast<u32>(v) << pos);
+  }
+  u32 truth(u32 in) const {
+    const bool a = in & 1, b = (in >> 1) & 1, c = (in >> 2) & 1;
+    const bool x = a && b;
+    return static_cast<u32>((x && c) != !(x || c)) | (static_cast<u32>(b || c) << 1);
+  }
+  u32 behavioral(u32 in) const { return ~truth(in) & 3u; }
+};
+
+TEST(ConeEval, PatchesOnlyTheAffectedOutputs) {
+  const ComplementModule mod;
+  ConeEval<ComplementModule, u32, u32> cone(mod);
+  for (u32 in = 0; in < 8; ++in) {
+    // Fault-free: every output comes from the netlist.
+    EXPECT_EQ(cone.eval(in), mod.truth(in)) << in;
+  }
+  cone.set_fault(Fault{mod.n.dead, true});
+  for (u32 in = 0; in < 8; ++in) EXPECT_EQ(cone.eval(in), mod.behavioral(in)) << in;
+  cone.set_fault(Fault{mod.n.o2, false});  // o2 from the netlist (stuck 0), r from the model
+  for (u32 in = 0; in < 8; ++in) EXPECT_EQ(cone.eval(in), mod.behavioral(in) & 1u) << in;
+  cone.set_fault(std::nullopt);
+  for (u32 in = 0; in < 8; ++in) EXPECT_EQ(cone.eval(in), mod.truth(in)) << in;
+}
+
+// ----------------------------------------------------------------------------
 // Random CPU-reachable stimulus generators
 // ----------------------------------------------------------------------------
 
@@ -344,6 +498,137 @@ TEST(ModuleFaults, IcuPendingStuckLowNeverInterrupts) {
   in.events = 0x1;
   in.mie = 0xf;
   EXPECT_FALSE(ni.eval(in).irq);
+}
+
+// ----------------------------------------------------------------------------
+// Differential oracle: cone-restricted adapters vs. the full faulty netlist
+// ----------------------------------------------------------------------------
+
+/// Module-call inputs of a real fault-free make_fwd_test run on `core`.
+struct ModuleTrace final : cpu::ModuleTap {
+  std::vector<cpu::FwdIn> fwd;
+  std::vector<cpu::HdcuIn> hdcu;
+  void on_fwd(u64, const cpu::FwdIn& in, const cpu::FwdOut&) override { fwd.push_back(in); }
+  void on_hdcu(u64, const cpu::HdcuIn& in, const cpu::HdcuOut&) override {
+    hdcu.push_back(in);
+  }
+};
+
+const ModuleTrace& fwd_test_trace(CoreKind kind) {
+  static std::array<std::optional<ModuleTrace>, 3> cache;
+  const unsigned core = static_cast<unsigned>(kind);
+  if (!cache[core]) {
+    const auto routine = core::make_fwd_test(/*with_perf_counters=*/false);
+    const exp::Scenario sc{1, {0, 0, 0}, 0, 0, "oracle"};
+    soc::Soc s = exp::scenario_factory(
+        exp::build_scenario_tests(*routine, core::WrapperKind::kPlain, sc, core, false), sc,
+        core)();
+    s.reset();
+    ModuleTrace& t = cache[core].emplace();
+    s.core(core).hooks().tap = &t;
+    while (!s.core(core).halted() && s.now() < 2'000'000) s.tick();
+    EXPECT_TRUE(s.core(core).halted());
+    s.core(core).hooks().tap = nullptr;
+  }
+  return *cache[core];
+}
+
+/// Any encodable FWD input: invalid selects 5-7, and on 32-bit cores
+/// register and candidate values with high bits set and stray high_half.
+cpu::FwdIn any_fwd_in(Rng& rng) {
+  cpu::FwdIn in;
+  for (auto& p : in.port) {
+    p.rf = rng.next_u64();
+    for (auto& c : p.cand) c = rng.next_u64();
+    p.sel = static_cast<FwdSel>(rng.below(8));
+    p.high_half = rng.chance(0.3);
+  }
+  return in;
+}
+
+/// Any encodable HDCU input under the CPU's one structural invariant
+/// (writes => rd != 0): odd pair registers, is64 on 32-bit cores.
+cpu::HdcuIn any_hdcu_in(Rng& rng) {
+  cpu::HdcuIn in;
+  for (auto& c : in.cons) {
+    c.rs = static_cast<u8>(rng.below(32));
+    c.used = rng.chance(0.8);
+    c.is64 = rng.chance(0.3);
+  }
+  for (auto& p : in.prod) {
+    p.rd = static_cast<u8>(rng.below(32));
+    p.writes = rng.chance(0.7) && p.rd != 0;
+    p.is64 = rng.chance(0.3);
+    p.is_load = rng.chance(0.3);
+  }
+  return in;
+}
+
+/// Checks `Adapter` against the reference on every `stride`-th net's faults.
+/// Each fault sees one batch of `lanes` patterns drawn round-robin from
+/// `patterns`. The reference is the full faulty netlist: the fault injected
+/// into all lanes, pattern j encoded into lane j, one Netlist::eval, and
+/// decode(lane j).
+template <class Adapter, class Module, class In>
+void expect_adapter_matches_full_netlist(const Module& mod, const std::vector<In>& patterns,
+                                         unsigned lanes, u32 stride) {
+  const Netlist& nl = mod.nl();
+  const std::size_t nbatches = (patterns.size() + lanes - 1) / lanes;
+  std::vector<std::vector<u64>> packed(nbatches, std::vector<u64>(nl.num_inputs(), 0));
+  EvalState one = nl.make_state();
+  for (std::size_t k = 0; k < patterns.size(); ++k) {
+    mod.encode(patterns[k], one);
+    for (u32 i = 0; i < nl.num_inputs(); ++i)
+      packed[k / lanes][i] |= (one.inputs[i] & 1) << (k % lanes);
+  }
+
+  Adapter adapter(mod);
+  EvalState ref = nl.make_state();
+  const std::vector<Fault> faults = nl.fault_list();
+  std::size_t checked = 0;
+  for (std::size_t fi = 0; fi < faults.size(); ++fi) {
+    if ((fi / 2) % stride != 0) continue;
+    const Fault& f = faults[fi];
+    const std::size_t batch = (fi / 2 / stride) % nbatches;
+    ref.inputs = packed[batch];
+    Netlist::clear_faults(ref);
+    Netlist::inject(ref, f, ~0ull);
+    nl.eval(ref);
+    adapter.set_fault(f);
+    for (std::size_t k = batch * lanes; k < std::min(patterns.size(), (batch + 1) * lanes);
+         ++k) {
+      ASSERT_EQ(adapter.eval(patterns[k]), mod.decode(ref, k % lanes))
+          << "fault net " << f.net << " sa" << f.stuck1 << " pattern " << k;
+      ++checked;
+    }
+  }
+  EXPECT_GT(checked, 0u);
+  // No stale cone: the fault-free adapter is the behavioural model again.
+  adapter.set_fault(std::nullopt);
+  for (const In& in : patterns) ASSERT_EQ(adapter.eval(in), mod.behavioral(in));
+}
+
+TEST_P(PerCore, HdcuConeMatchesFullNetlistForEveryFault) {
+  const HdcuNetlist mod(kind());
+  Rng rng(0xC0DE + GetParam());
+  std::vector<cpu::HdcuIn> patterns = fwd_test_trace(kind()).hdcu;
+  for (int i = 0; i < 512; ++i) patterns.push_back(any_hdcu_in(rng));
+  expect_adapter_matches_full_netlist<NetlistHazard>(mod, patterns, 64, 1);
+  // Within the CPU's input domain the fault-free adapter is hdcu_behavioral.
+  for (const cpu::HdcuIn& in : fwd_test_trace(kind()).hdcu)
+    ASSERT_EQ(mod.behavioral(in), cpu::hdcu_behavioral(kind(), in));
+}
+
+TEST_P(PerCore, FwdConeMatchesFullNetlist) {
+  const FwdNetlist mod(kind());
+  Rng rng(0xF0D + GetParam());
+  std::vector<cpu::FwdIn> patterns = fwd_test_trace(kind()).fwd;
+  for (int i = 0; i < 512; ++i) patterns.push_back(any_fwd_in(rng));
+  // Every fault on cores A and B, a stride over core C's larger netlist.
+  expect_adapter_matches_full_netlist<NetlistForward>(mod, patterns, 64,
+                                                      kind() == CoreKind::kC ? 3 : 1);
+  for (const cpu::FwdIn& in : fwd_test_trace(kind()).fwd)
+    ASSERT_EQ(mod.behavioral(in), cpu::fwd_behavioral(in));
 }
 
 TEST(ModuleStats, FaultListSizes) {
