@@ -31,19 +31,20 @@ FwdNetlist::FwdNetlist(CoreKind kind)
   std::array<Port, 4> ports;
 
   // Primary inputs, port-major, in a fixed order (the encode() contract).
+  const auto input = [&](u8 port, Field field, unsigned bit) {
+    input_bits_.push_back(InputBit{port, field, static_cast<u8>(bit)});
+    return nl_.input();
+  };
   for (u8 c = 0; c < 4; ++c) {
     Port& port = ports[c];
-    const auto input = [&](Field field, unsigned bit) {
-      input_bits_.push_back(InputBit{c, field, static_cast<u8>(bit)});
-      return nl_.input();
-    };
-    for (unsigned b = 0; b < 3; ++b) port.sel[b] = input(Field::kSel, b);
-    if (c64) port.high = input(Field::kHigh, 0);
+    for (unsigned b = 0; b < 3; ++b) port.sel[b] = input(c, Field::kSel, b);
+    if (c64) port.high = input(c, Field::kHigh, 0);
     port.rf.resize(width_);
-    for (unsigned i = 0; i < width_; ++i) port.rf[i] = input(Field::kRf, i);
+    for (unsigned i = 0; i < width_; ++i) port.rf[i] = input(c, Field::kRf, i);
     for (unsigned j = 0; j < 4; ++j) {
       port.cand[j].resize(width_);
-      for (unsigned i = 0; i < width_; ++i) port.cand[j][i] = input(static_cast<Field>(j), i);
+      for (unsigned i = 0; i < width_; ++i)
+        port.cand[j][i] = input(c, static_cast<Field>(j), i);
     }
   }
 

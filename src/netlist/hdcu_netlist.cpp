@@ -22,23 +22,22 @@ HdcuNetlist::HdcuNetlist(CoreKind kind) : kind_(kind), nl_(instance_style(kind))
   std::array<NetId, 4> high_out;
 
   // Primary inputs: consumers then producers (the encode() contract).
-  u8 slot = 0;
-  const auto input = [&](Field field, unsigned bit) {
+  const auto input = [&](u8 slot, Field field, unsigned bit) {
     input_bits_.push_back(InputBit{slot, field, static_cast<u8>(bit)});
     return nl_.input();
   };
-  for (slot = 0; slot < 4; ++slot) {
-    Consumer& c = consumers[slot];
-    for (unsigned b = 0; b < 5; ++b) c.rs[b] = input(Field::kRs, b);
-    c.used = input(Field::kUsed, 0);
-    if (c64) c.is64 = input(Field::kCons64, 0);
+  for (u8 i = 0; i < 4; ++i) {
+    Consumer& c = consumers[i];
+    for (unsigned b = 0; b < 5; ++b) c.rs[b] = input(i, Field::kRs, b);
+    c.used = input(i, Field::kUsed, 0);
+    if (c64) c.is64 = input(i, Field::kCons64, 0);
   }
-  for (slot = 0; slot < 4; ++slot) {
-    Producer& p = producers[slot];
-    for (unsigned b = 0; b < 5; ++b) p.rd[b] = input(Field::kRd, b);
-    p.writes = input(Field::kWrites, 0);
-    if (c64) p.is64 = input(Field::kProd64, 0);
-    p.is_load = input(Field::kIsLoad, 0);
+  for (u8 i = 0; i < 4; ++i) {
+    Producer& p = producers[i];
+    for (unsigned b = 0; b < 5; ++b) p.rd[b] = input(i, Field::kRd, b);
+    p.writes = input(i, Field::kWrites, 0);
+    if (c64) p.is64 = input(i, Field::kProd64, 0);
+    p.is_load = input(i, Field::kIsLoad, 0);
   }
 
   const NetId zero = nl_.constant(false);

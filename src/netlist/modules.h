@@ -75,7 +75,7 @@ class FwdNetlist {
   const std::vector<NetId>& outputs() const { return outputs_; }
 
  private:
-  enum class Field : u8 { kCand0, kCand1, kCand2, kCand3, kRf, kSel, kHigh };
+  enum class Field : u8 { kCand0, kCand1, kCand2, kCand3, kRf, kSel, kHigh };  // kCandJ == J
   struct InputBit {
     u8 port;
     Field field;
@@ -123,7 +123,7 @@ class HdcuNetlist {
   /// Write output `pos` into `out`. outputs() holds, per port, sel[3] and
   /// high, then the stall line.
   void set_output_bit(HdcuOut& out, u32 pos, bool v) const {
-    if (pos == 16) {
+    if (pos == kStallPos) {
       out.stall = v;
     } else if (pos % 4 == 3) {
       out.high_half[pos / 4] = v;
@@ -140,6 +140,7 @@ class HdcuNetlist {
   const std::vector<NetId>& outputs() const { return outputs_; }
 
  private:
+  static constexpr u32 kStallPos = 16;
   enum class Field : u8 { kRs, kUsed, kCons64, kRd, kWrites, kProd64, kIsLoad };
   struct InputBit {
     u8 slot;  // consumer or producer index

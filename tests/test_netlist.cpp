@@ -304,15 +304,6 @@ TEST(FaultCone, UnobservedFaultHasEmptyCone) {
   expect_cone_exact(n.nl, outs, Fault{n.dead, true});
 }
 
-TEST(FaultCone, RejectsSequentialNetlists) {
-  Netlist nl;
-  const NetId q = nl.dff();
-  nl.connect_dff(q, nl.not_(q));
-  std::vector<u32> affected;
-  const std::vector<NetId> outs = {q};
-  EXPECT_DEBUG_DEATH(nl.fault_cone(q, outs, affected), "flops");
-}
-
 /// A stand-in module for ConeEval over SmallNet (inputs a, b, c = bits 0-2;
 /// outputs r, o2 = bits 0-1) whose "behavioural model" deliberately answers
 /// the complement of the netlist, so the test sees which outputs ConeEval
