@@ -22,7 +22,8 @@ namespace detstl::netlist {
 template <class Module, class In, class Out>
 class ConeEval {
  public:
-  explicit ConeEval(const Module& mod) : mod_(&mod), state_(mod.nl().make_state()) {
+  explicit ConeEval(const Module& mod)
+      : mod_(&mod), state_(mod.nl().make_state()) {
     set_fault(std::nullopt);
   }
 

@@ -75,7 +75,8 @@ class FwdNetlist {
   const std::vector<NetId>& outputs() const { return outputs_; }
 
  private:
-  enum class Field : u8 { kCand0, kCand1, kCand2, kCand3, kRf, kSel, kHigh };  // kCandJ == J
+  // kCandJ == J: input_bit() indexes cand[] with the field.
+  enum class Field : u8 { kCand0, kCand1, kCand2, kCand3, kRf, kSel, kHigh };
   struct InputBit {
     u8 port;
     Field field;

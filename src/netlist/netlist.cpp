@@ -164,7 +164,8 @@ void Netlist::eval_gates(EvalState& s, std::span<const NetId> gates) const {
   for (const NetId n : gates) eval_net(gates_[n], n, s);
 }
 
-std::vector<NetId> Netlist::fault_cone(NetId net, std::span<const NetId> outputs,
+std::vector<NetId> Netlist::fault_cone(NetId net,
+                                       std::span<const NetId> outputs,
                                        std::vector<u32>& affected) const {
   assert(num_flops_ == 0 && "fault cones do not cross flops");
   assert(net == kNoNet || net < gates_.size());
@@ -175,7 +176,8 @@ std::vector<NetId> Netlist::fault_cone(NetId net, std::span<const NetId> outputs
     mark[net] = kFanout;
     for (NetId n = net + 1; n < gates_.size(); ++n) {
       const Gate& g = gates_[n];
-      if ((g.a != kNoNet && mark[g.a]) || (g.b != kNoNet && mark[g.b])) mark[n] = kFanout;
+      if ((g.a != kNoNet && mark[g.a]) || (g.b != kNoNet && mark[g.b]))
+        mark[n] = kFanout;
     }
   }
   affected.clear();

@@ -51,13 +51,12 @@ constexpr GoldenCampaign kCampaigns[] = {
 void PrintTo(const GoldenCampaign& g, std::ostream* os) { *os << g.label; }
 
 std::string golden_line(const GoldenCampaign& g) {
-  const auto routine = g.module == Module::kIcu
-                           ? core::make_icu_test()
-                           : core::make_fwd_test(/*with_perf_counters=*/g.module ==
-                                                 Module::kHdcu);
+  const bool pcs = g.module == Module::kHdcu;  // Table III HDCU routine
+  const auto routine = g.module == Module::kIcu ? core::make_icu_test()
+                                                : core::make_fwd_test(pcs);
   exp::Scenario sc{g.active_cores, {0, 3, 7}, 0, 0, g.label};
-  auto tests = exp::build_scenario_tests(*routine, g.wrapper, sc, g.core,
-                                         g.module == Module::kHdcu);
+  auto tests =
+      exp::build_scenario_tests(*routine, g.wrapper, sc, g.core, pcs);
   CampaignConfig cc;
   cc.module = g.module;
   cc.core_id = g.core;
@@ -68,7 +67,8 @@ std::string golden_line(const GoldenCampaign& g) {
   Campaign campaign(cc, exp::scenario_factory(std::move(tests), sc, g.core));
   const std::vector<u8> bytes = campaign.run().canonical_bytes();
   char hex[32];
-  std::snprintf(hex, sizeof hex, "0x%016" PRIx64, fnv1a(bytes.data(), bytes.size()));
+  std::snprintf(hex, sizeof hex, "0x%016" PRIx64,
+                fnv1a(bytes.data(), bytes.size()));
   return std::string(g.label) + " " + hex;
 }
 
@@ -100,16 +100,18 @@ TEST_P(GoldenCampaigns, DigestMatchesCommitted) {
 TEST(GoldenCampaignsFile, ListsExactlyTheCorpus) {
   const auto golden = load_golden();
   EXPECT_EQ(golden.size(), std::size(kCampaigns));
-  for (const GoldenCampaign& g : kCampaigns) EXPECT_TRUE(golden.count(g.label)) << g.label;
+  for (const GoldenCampaign& g : kCampaigns)
+    EXPECT_TRUE(golden.count(g.label)) << g.label;
 }
 
-INSTANTIATE_TEST_SUITE_P(Corpus, GoldenCampaigns, ::testing::ValuesIn(kCampaigns),
-                         [](const auto& info) {
-                           std::string name = info.param.label;
-                           for (char& c : name)
-                             if (c == '-') c = '_';
-                           return name;
-                         });
+INSTANTIATE_TEST_SUITE_P(
+    Corpus, GoldenCampaigns, ::testing::ValuesIn(kCampaigns),
+    [](const auto& info) {
+      std::string name = info.param.label;
+      for (char& c : name)
+        if (c == '-') c = '_';
+      return name;
+    });
 
 }  // namespace
 }  // namespace detstl::fault

@@ -209,10 +209,12 @@ TEST(NetlistEngine, LaneIndependenceUnderDistinctFaults) {
 /// computed by eval_gates over the cone alone, equal the full faulty
 /// netlist; every other output of the full faulty netlist equals the
 /// fault-free netlist.
-void expect_cone_exact(const Netlist& nl, std::span<const NetId> outputs, const Fault& f) {
+void expect_cone_exact(const Netlist& nl, std::span<const NetId> outputs,
+                       const Fault& f) {
   std::vector<u32> affected;
   const std::vector<NetId> cone = nl.fault_cone(f.net, outputs, affected);
-  EvalState full = nl.make_state(), good = nl.make_state(), part = nl.make_state();
+  EvalState full = nl.make_state(), good = nl.make_state();
+  EvalState part = nl.make_state();
   Netlist::inject(full, f, ~0ull);
   Netlist::inject(part, f, ~0ull);
   for (u32 v = 0; v < (1u << nl.num_inputs()); ++v) {
@@ -226,9 +228,12 @@ void expect_cone_exact(const Netlist& nl, std::span<const NetId> outputs, const 
     nl.eval(good);
     nl.eval_gates(part, cone);
     for (u32 pos = 0; pos < outputs.size(); ++pos) {
-      const bool in_cone = std::find(affected.begin(), affected.end(), pos) != affected.end();
-      EXPECT_EQ(full.lane_bit(outputs[pos], 0), (in_cone ? part : good).lane_bit(outputs[pos], 0))
-          << "fault net " << f.net << " sa" << f.stuck1 << " output " << pos << " v " << v;
+      const bool in_cone =
+          std::find(affected.begin(), affected.end(), pos) != affected.end();
+      const EvalState& want = in_cone ? part : good;
+      EXPECT_EQ(full.lane_bit(outputs[pos], 0), want.lane_bit(outputs[pos], 0))
+          << "fault net " << f.net << " sa" << f.stuck1 << " output " << pos
+          << " v " << v;
     }
   }
 }
@@ -262,7 +267,8 @@ TEST(FaultCone, PrimaryInputFault) {
   EXPECT_EQ(n.nl.fault_cone(n.a, outs, affected),
             (std::vector<NetId>{n.a, n.b, n.c, n.x, n.p, n.q, n.r}));
   EXPECT_EQ(affected, std::vector<u32>{0});
-  EXPECT_EQ(n.nl.fault_cone(n.b, outs, affected).size(), 8u);  // everything but `dead`
+  // Everything but `dead`.
+  EXPECT_EQ(n.nl.fault_cone(n.b, outs, affected).size(), 8u);
   EXPECT_EQ(affected, (std::vector<u32>{0, 1}));
   expect_cone_exact(n.nl, outs, Fault{n.a, true});
   expect_cone_exact(n.nl, outs, Fault{n.c, false});
@@ -272,7 +278,8 @@ TEST(FaultCone, OutputNetFault) {
   const SmallNet n;
   const std::vector<NetId> outs = {n.r, n.o2};
   std::vector<u32> affected;
-  EXPECT_EQ(n.nl.fault_cone(n.o2, outs, affected), (std::vector<NetId>{n.b, n.c, n.o2}));
+  EXPECT_EQ(n.nl.fault_cone(n.o2, outs, affected),
+            (std::vector<NetId>{n.b, n.c, n.o2}));
   EXPECT_EQ(affected, std::vector<u32>{1});
   expect_cone_exact(n.nl, outs, Fault{n.o2, true});
   expect_cone_exact(n.nl, outs, Fault{n.r, false});
@@ -288,7 +295,8 @@ TEST(FaultCone, DuplicateAndConstantOutputs) {
   // The fault-free cone covers every output, constants included.
   const std::vector<NetId> all = n.nl.fault_cone(kNoNet, outs, affected);
   EXPECT_EQ(affected, (std::vector<u32>{0, 1, 2, 3}));
-  EXPECT_EQ(all, (std::vector<NetId>{n.a, n.b, n.c, n.x, n.p, n.q, n.r, n.o2, one}));
+  EXPECT_EQ(all, (std::vector<NetId>{n.a, n.b, n.c, n.x, n.p, n.q, n.r, n.o2,
+                                     one}));
   EvalState s = n.nl.make_state();
   n.nl.eval_gates(s, all);
   EXPECT_TRUE(s.lane_bit(one, 0));
@@ -320,7 +328,8 @@ struct ComplementModule {
   u32 truth(u32 in) const {
     const bool a = in & 1, b = (in >> 1) & 1, c = (in >> 2) & 1;
     const bool x = a && b;
-    return static_cast<u32>((x && c) != !(x || c)) | (static_cast<u32>(b || c) << 1);
+    const bool r = (x && c) != !(x || c);
+    return static_cast<u32>(r) | (static_cast<u32>(b || c) << 1);
   }
   u32 behavioral(u32 in) const { return ~truth(in) & 3u; }
 };
@@ -333,9 +342,12 @@ TEST(ConeEval, PatchesOnlyTheAffectedOutputs) {
     EXPECT_EQ(cone.eval(in), mod.truth(in)) << in;
   }
   cone.set_fault(Fault{mod.n.dead, true});
-  for (u32 in = 0; in < 8; ++in) EXPECT_EQ(cone.eval(in), mod.behavioral(in)) << in;
-  cone.set_fault(Fault{mod.n.o2, false});  // o2 from the netlist (stuck 0), r from the model
-  for (u32 in = 0; in < 8; ++in) EXPECT_EQ(cone.eval(in), mod.behavioral(in) & 1u) << in;
+  for (u32 in = 0; in < 8; ++in)
+    EXPECT_EQ(cone.eval(in), mod.behavioral(in)) << in;
+  // o2 comes from the netlist (stuck at 0), r from the model.
+  cone.set_fault(Fault{mod.n.o2, false});
+  for (u32 in = 0; in < 8; ++in)
+    EXPECT_EQ(cone.eval(in), mod.behavioral(in) & 1u) << in;
   cone.set_fault(std::nullopt);
   for (u32 in = 0; in < 8; ++in) EXPECT_EQ(cone.eval(in), mod.truth(in)) << in;
 }
@@ -499,7 +511,9 @@ TEST(ModuleFaults, IcuPendingStuckLowNeverInterrupts) {
 struct ModuleTrace final : cpu::ModuleTap {
   std::vector<cpu::FwdIn> fwd;
   std::vector<cpu::HdcuIn> hdcu;
-  void on_fwd(u64, const cpu::FwdIn& in, const cpu::FwdOut&) override { fwd.push_back(in); }
+  void on_fwd(u64, const cpu::FwdIn& in, const cpu::FwdOut&) override {
+    fwd.push_back(in);
+  }
   void on_hdcu(u64, const cpu::HdcuIn& in, const cpu::HdcuOut&) override {
     hdcu.push_back(in);
   }
@@ -512,8 +526,9 @@ const ModuleTrace& fwd_test_trace(CoreKind kind) {
     const auto routine = core::make_fwd_test(/*with_perf_counters=*/false);
     const exp::Scenario sc{1, {0, 0, 0}, 0, 0, "oracle"};
     soc::Soc s = exp::scenario_factory(
-        exp::build_scenario_tests(*routine, core::WrapperKind::kPlain, sc, core, false), sc,
-        core)();
+        exp::build_scenario_tests(*routine, core::WrapperKind::kPlain, sc, core,
+                                  false),
+        sc, core)();
     s.reset();
     ModuleTrace& t = cache[core].emplace();
     s.core(core).hooks().tap = &t;
@@ -561,11 +576,13 @@ cpu::HdcuIn any_hdcu_in(Rng& rng) {
 /// into all lanes, pattern j encoded into lane j, one Netlist::eval, and
 /// decode(lane j).
 template <class Adapter, class Module, class In>
-void expect_adapter_matches_full_netlist(const Module& mod, const std::vector<In>& patterns,
+void expect_adapter_matches_full_netlist(const Module& mod,
+                                         const std::vector<In>& patterns,
                                          unsigned lanes, u32 stride) {
   const Netlist& nl = mod.nl();
   const std::size_t nbatches = (patterns.size() + lanes - 1) / lanes;
-  std::vector<std::vector<u64>> packed(nbatches, std::vector<u64>(nl.num_inputs(), 0));
+  std::vector<std::vector<u64>> packed(nbatches,
+                                       std::vector<u64>(nl.num_inputs(), 0));
   EvalState one = nl.make_state();
   for (std::size_t k = 0; k < patterns.size(); ++k) {
     mod.encode(patterns[k], one);
@@ -586,8 +603,8 @@ void expect_adapter_matches_full_netlist(const Module& mod, const std::vector<In
     Netlist::inject(ref, f, ~0ull);
     nl.eval(ref);
     adapter.set_fault(f);
-    for (std::size_t k = batch * lanes; k < std::min(patterns.size(), (batch + 1) * lanes);
-         ++k) {
+    const std::size_t end = std::min(patterns.size(), (batch + 1) * lanes);
+    for (std::size_t k = batch * lanes; k < end; ++k) {
       ASSERT_EQ(adapter.eval(patterns[k]), mod.decode(ref, k % lanes))
           << "fault net " << f.net << " sa" << f.stuck1 << " pattern " << k;
       ++checked;
@@ -616,8 +633,9 @@ TEST_P(PerCore, FwdConeMatchesFullNetlist) {
   std::vector<cpu::FwdIn> patterns = fwd_test_trace(kind()).fwd;
   for (int i = 0; i < 512; ++i) patterns.push_back(any_fwd_in(rng));
   // Every fault on cores A and B, a stride over core C's larger netlist.
+  const u32 stride = kind() == CoreKind::kC ? 3 : 1;
   expect_adapter_matches_full_netlist<NetlistForward>(mod, patterns, 64,
-                                                      kind() == CoreKind::kC ? 3 : 1);
+                                                      stride);
   for (const cpu::FwdIn& in : fwd_test_trace(kind()).fwd)
     ASSERT_EQ(mod.behavioral(in), cpu::fwd_behavioral(in));
 }
