@@ -5,6 +5,11 @@
 // changes a digest and fails here. The campaigns run at one thread; thread
 // count never changes the bytes (tests/test_fault_parallel.cpp).
 //
+// The same file pins the runtime workloads: the digest() of one seeded
+// disturbance campaign, one seeded soak campaign and one seeded mission run,
+// and the absolute checkpoint manifest hash of one fixed spec per journalled
+// engine. A moved manifest hash orphans every checkpoint already on disk.
+//
 // File format: one campaign per line, "<label> 0x<16 hex digits>". On a
 // mismatch the test prints the recomputed line; a deliberate change of
 // outcomes is recorded by pasting it into the golden file.
@@ -15,11 +20,17 @@
 #include <cstdio>
 #include <fstream>
 #include <map>
+#include <memory>
 #include <sstream>
 #include <string>
+#include <vector>
 
 #include "core/routines.h"
+#include "core/stl.h"
 #include "exp/experiments.h"
+#include "netlist/modules.h"
+#include "runtime/mission.h"
+#include "runtime/soak.h"
 
 namespace detstl::fault {
 namespace {
@@ -50,6 +61,12 @@ constexpr GoldenCampaign kCampaigns[] = {
 
 void PrintTo(const GoldenCampaign& g, std::ostream* os) { *os << g.label; }
 
+std::string hex_line(const char* label, u64 v) {
+  char hex[32];
+  std::snprintf(hex, sizeof hex, "0x%016" PRIx64, v);
+  return std::string(label) + " " + hex;
+}
+
 std::string golden_line(const GoldenCampaign& g) {
   const bool pcs = g.module == Module::kHdcu;  // Table III HDCU routine
   const auto routine = g.module == Module::kIcu ? core::make_icu_test()
@@ -66,11 +83,99 @@ std::string golden_line(const GoldenCampaign& g) {
   cc.threads = 1;
   Campaign campaign(cc, exp::scenario_factory(std::move(tests), sc, g.core));
   const std::vector<u8> bytes = campaign.run().canonical_bytes();
-  char hex[32];
-  std::snprintf(hex, sizeof hex, "0x%016" PRIx64,
-                fnv1a(bytes.data(), bytes.size()));
-  return std::string(g.label) + " " + hex;
+  return hex_line(g.label, fnv1a(bytes.data(), bytes.size()));
 }
+
+// --- Runtime corpus ----------------------------------------------------------
+
+runtime::SchedulePlan two_core_plan() {
+  std::vector<std::unique_ptr<core::SelfTestRoutine>> owned;
+  std::vector<const core::SelfTestRoutine*> ptrs;
+  for (const char* n : {"alu", "shifter"}) {
+    owned.push_back(core::find_routine(n)->make());
+    ptrs.push_back(owned.back().get());
+  }
+  return runtime::plan_schedule(ptrs, 2);
+}
+
+runtime::CampaignSpec disturbance_spec() {
+  runtime::CampaignSpec spec;
+  spec.seed = 0x601DC0DE;
+  spec.runs = 4;
+  spec.threads = 1;
+  spec.cores = 2;
+  spec.routines = {"alu", "shifter"};
+  spec.disturb.count = 5;
+  spec.disturb.permanent_chance = 0.5;
+  return spec;
+}
+
+/// Rates high enough that the differential isolation runs.
+runtime::SoakCampaignSpec soak_spec() {
+  runtime::SoakCampaignSpec spec;
+  spec.seed = 0x601D50AC;
+  spec.runs = 3;
+  spec.threads = 1;
+  spec.cores = 2;
+  spec.routines = {"alu", "shifter"};
+  spec.soak.rates = {200, 400, 300, 120};
+  spec.isolate = true;
+  return spec;
+}
+
+u64 disturbance_digest() {
+  return runtime::run_disturbance_campaign(disturbance_spec()).digest();
+}
+
+u64 soak_digest() { return runtime::run_soak_campaign(soak_spec()).digest(); }
+
+u64 mission_digest() {
+  runtime::MissionSpec spec;
+  spec.seed = 0x601D0A11;
+  spec.slices = 6;
+  spec.cores = 3;
+  spec.routines = {"alu", "branch"};
+  return runtime::run_mission(spec).digest();
+}
+
+u64 fault_manifest_hash() {
+  const netlist::FwdNetlist fwd(isa::CoreKind::kA);
+  const auto routine = core::make_fwd_test(false);
+  exp::Scenario sc{1, {0, 0, 0}, 0, 0, "golden-hash"};
+  auto tests =
+      exp::build_scenario_tests(*routine, WrapperKind::kPlain, sc, 0, false);
+  CampaignConfig cc;
+  cc.module = Module::kFwd;
+  cc.fault_stride = 61;
+  return checkpoint_config_hash(
+      cc, fwd.nl(), exp::scenario_factory(std::move(tests), sc, 0)());
+}
+
+u64 disturbance_manifest_hash() {
+  return runtime::checkpoint_config_hash(disturbance_spec(), two_core_plan());
+}
+
+u64 soak_manifest_hash() {
+  runtime::SoakCampaignSpec spec = soak_spec();
+  spec.soak.duration = 120'000;
+  return runtime::soak_checkpoint_config_hash(spec, two_core_plan());
+}
+
+struct GoldenValue {
+  const char* label;
+  u64 (*compute)();
+};
+
+void PrintTo(const GoldenValue& g, std::ostream* os) { *os << g.label; }
+
+constexpr GoldenValue kRuntimeValues[] = {
+    {"disturbance-digest", disturbance_digest},
+    {"soak-digest", soak_digest},
+    {"mission-digest", mission_digest},
+    {"fault-manifest-hash", fault_manifest_hash},
+    {"disturbance-manifest-hash", disturbance_manifest_hash},
+    {"soak-manifest-hash", soak_manifest_hash},
+};
 
 std::map<std::string, std::string> load_golden() {
   std::map<std::string, std::string> lines;
@@ -97,21 +202,41 @@ TEST_P(GoldenCampaigns, DigestMatchesCommitted) {
   EXPECT_EQ(got, it->second) << "recomputed golden line:\n" << got;
 }
 
+class GoldenRuntime : public ::testing::TestWithParam<GoldenValue> {};
+
+TEST_P(GoldenRuntime, ValueMatchesCommitted) {
+  const GoldenValue& g = GetParam();
+  const std::string got = hex_line(g.label, g.compute());
+  const auto golden = load_golden();
+  const auto it = golden.find(g.label);
+  ASSERT_NE(it, golden.end()) << "no golden line; recomputed:\n" << got;
+  EXPECT_EQ(got, it->second) << "recomputed golden line:\n" << got;
+}
+
 TEST(GoldenCampaignsFile, ListsExactlyTheCorpus) {
   const auto golden = load_golden();
-  EXPECT_EQ(golden.size(), std::size(kCampaigns));
+  EXPECT_EQ(golden.size(), std::size(kCampaigns) + std::size(kRuntimeValues));
   for (const GoldenCampaign& g : kCampaigns)
+    EXPECT_TRUE(golden.count(g.label)) << g.label;
+  for (const GoldenValue& g : kRuntimeValues)
     EXPECT_TRUE(golden.count(g.label)) << g.label;
 }
 
-INSTANTIATE_TEST_SUITE_P(
-    Corpus, GoldenCampaigns, ::testing::ValuesIn(kCampaigns),
-    [](const auto& info) {
-      std::string name = info.param.label;
-      for (char& c : name)
-        if (c == '-') c = '_';
-      return name;
-    });
+/// gtest parameter names: the label with '-' spelled '_'.
+template <typename Info>
+std::string param_name(const Info& info) {
+  std::string name = info.param.label;
+  for (char& c : name)
+    if (c == '-') c = '_';
+  return name;
+}
+
+INSTANTIATE_TEST_SUITE_P(Corpus, GoldenCampaigns,
+                         ::testing::ValuesIn(kCampaigns),
+                         param_name<::testing::TestParamInfo<GoldenCampaign>>);
+INSTANTIATE_TEST_SUITE_P(Runtime, GoldenRuntime,
+                         ::testing::ValuesIn(kRuntimeValues),
+                         param_name<::testing::TestParamInfo<GoldenValue>>);
 
 }  // namespace
 }  // namespace detstl::fault
