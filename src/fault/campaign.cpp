@@ -1,13 +1,13 @@
 #include "fault/campaign.h"
 
 #include <algorithm>
-#include <cassert>
+#include <atomic>
 #include <chrono>
 #include <mutex>
 #include <stdexcept>
-#include <thread>
 
-#include "fault/work_queue.h"
+#include "common/bytes.h"
+#include "fault/units.h"
 #include "netlist/screening.h"
 #include "perf/profiler.h"
 #include "perf/simstats.h"
@@ -192,55 +192,19 @@ class ProgressTracker {
   std::chrono::steady_clock::time_point start_;
 };
 
-/// Run `body(worker_id)` on `threads` workers and join. With one thread the
-/// body runs on the calling thread — exactly the serial path, no spawn. The
-/// first exception a worker throws is rethrown after the join.
-void run_pool(unsigned threads, const std::function<void(unsigned)>& body) {
-  if (threads <= 1) {
-    body(0);
-    return;
-  }
-  std::vector<std::thread> pool;
-  pool.reserve(threads);
-  std::mutex err_mu;
-  std::exception_ptr err;
-  for (unsigned w = 0; w < threads; ++w) {
-    pool.emplace_back([&body, &err_mu, &err, w] {
-      try {
-        body(w);
-      } catch (...) {
-        std::lock_guard<std::mutex> lk(err_mu);
-        if (!err) err = std::current_exception();
-      }
-    });
-  }
-  for (auto& t : pool) t.join();
-  if (err) std::rethrow_exception(err);
-}
-
 }  // namespace
 
 std::vector<u8> CampaignResult::canonical_bytes() const {
   std::vector<u8> out;
   out.reserve(10 * 8 + outcomes.size());
-  const auto p64 = [&out](u64 v) {
-    for (int i = 0; i < 8; ++i) out.push_back(static_cast<u8>(v >> (8 * i)));
-  };
-  const auto p32 = [&out](u32 v) {
-    for (int i = 0; i < 4; ++i) out.push_back(static_cast<u8>(v >> (8 * i)));
-  };
-  p64(total_faults);
-  p64(simulated_faults);
-  p64(excited);
-  p64(detected);
-  p64(detected_signature);
-  p64(detected_verdict);
-  p64(detected_watchdog);
-  p64(good_cycles);
-  p32(good_verdict.status);
-  p32(good_verdict.signature);
-  p64(outcomes.size());
-  for (const FaultOutcome o : outcomes) out.push_back(static_cast<u8>(o));
+  for (const u64 v : {total_faults, simulated_faults, excited, detected,
+                      detected_signature, detected_verdict, detected_watchdog,
+                      good_cycles})
+    put64(out, v);
+  put32(out, good_verdict.status);
+  put32(out, good_verdict.signature);
+  put64(out, outcomes.size());
+  for (const FaultOutcome o : outcomes) put8(out, static_cast<u8>(o));
   return out;
 }
 
@@ -267,13 +231,8 @@ Campaign::Campaign(const CampaignConfig& cfg, SocFactory factory)
 
 CampaignResult Campaign::run() {
   const u32 mailbox = cfg_.mailbox != 0 ? cfg_.mailbox : soc::mailbox_addr(cfg_.core_id);
-  const unsigned threads =
-      cfg_.threads != 0 ? cfg_.threads
-                        : std::max(1u, std::thread::hardware_concurrency());
   CampaignResult res;
-  res.threads_used = threads;
   const auto wall_start = std::chrono::steady_clock::now();
-  ProgressTracker tracker(cfg_.progress, cfg_.progress_every, threads);
 
   // Campaign events use an emission sequence number as their clock: all
   // emissions happen on the serial control path (phase boundaries + the
@@ -314,73 +273,6 @@ CampaignResult Campaign::run() {
       break;
   }
 
-  // --- Crash-safe checkpoint/resume setup (fault/checkpoint.h) -----------------
-  // The manifest hash binds the on-disk checkpoint to this exact campaign:
-  // netlist identity + routine image + every outcome-relevant config field.
-  // The factory's SoC serves both the fingerprint and the good run below.
-  soc::Soc good = factory_();
-  LoadedCheckpoint loaded;
-  std::optional<CheckpointWriter> writer;
-  const auto stop_requested = [this] {
-    return cfg_.interrupt != nullptr && cfg_.interrupt->stop_requested();
-  };
-  if (cfg_.checkpoint.enabled()) {
-    const u64 hash = checkpoint_config_hash(cfg_, *nl, good);
-    if (cfg_.checkpoint.resume)
-      loaded = load_checkpoint(cfg_.checkpoint, PayloadKind::kFaultOutcomes, hash,
-                               cfg_.sink);
-    writer.emplace(cfg_.checkpoint, PayloadKind::kFaultOutcomes, hash,
-                   loaded.next_shard, cfg_.sink);
-    res.ckpt.enabled = true;
-    res.ckpt.shards_loaded = loaded.shards_loaded;
-    res.ckpt.shards_corrupt = loaded.shards_corrupt;
-  }
-  if (!cfg_.merge_dirs.empty()) {
-    // Post-hoc shard merge: per-shard journals all share this campaign's
-    // manifest identity (the shard range is excluded from the hash), so their
-    // records drop into the same resume path as a single-dir checkpoint.
-    MultiLoadedCheckpoint merged =
-        load_checkpoint_dirs(cfg_.merge_dirs, PayloadKind::kFaultOutcomes,
-                             checkpoint_config_hash(cfg_, *nl, good), cfg_.sink);
-    loaded.records.insert(loaded.records.end(),
-                          std::make_move_iterator(merged.records.begin()),
-                          std::make_move_iterator(merged.records.end()));
-    res.ckpt.enabled = true;
-    res.ckpt.shards_loaded += merged.shards_loaded;
-    res.ckpt.shards_corrupt += merged.shards_corrupt;
-  }
-
-  // --- Phase 0: good run with trace recording + checkpoints ---------------------
-  tracker.begin_phase(CampaignPhase::kGoodRun, 0);
-  emit_phase(trace::EventKind::kCampaignPhaseBegin, CampaignPhase::kGoodRun, 0, 0);
-  RecorderTap rec(cfg_.module);
-  // The good run traces live (it is serial); checkpoints copy the sink
-  // pointer, so detect_one clears it on every restored replica.
-  good.set_trace_sink(cfg_.sink);
-  good.reset();
-  good.core(cfg_.core_id).hooks().tap = &rec;
-
-  std::vector<Checkpoint> cps;
-  cps.push_back(Checkpoint{good, 0, 0});
-  while (!good.core(cfg_.core_id).halted()) {
-    if (good.now() >= cfg_.max_cycles)
-      throw std::runtime_error("fault campaign: good run exceeded max_cycles");
-    good.tick();
-    if (good.now() % cfg_.checkpoint_every == 0) {
-      cps.push_back(Checkpoint{good, rec.calls(), rec.r29().size()});
-      tracker.add(0, cfg_.checkpoint_every);
-    }
-  }
-  tracker.end_phase();
-  emit_phase(trace::EventKind::kCampaignPhaseEnd, CampaignPhase::kGoodRun, 0, 0);
-  res.good_cycles = good.now();
-  perf::sim_totals().add(perf::SimStat::kGoodRunCycles, good.now());
-  res.good_verdict = core::read_verdict(good, mailbox);
-  if (res.good_verdict.status != soc::kStatusPass)
-    throw std::runtime_error("fault campaign: fault-free run did not pass");
-
-  const std::size_t ncalls = rec.calls();
-
   // --- Fault list (deterministically sampled) -------------------------------------
   // The collapsed list interleaves SA0/SA1 per net; sampling strides over
   // NETS and keeps both polarities of each sampled net, so no polarity bias.
@@ -390,157 +282,19 @@ CampaignResult Campaign::run() {
   for (std::size_t i = 0; i < all_faults.size(); ++i)
     if ((i / 2) % cfg_.fault_stride == 0) faults.push_back(all_faults[i]);
   res.simulated_faults = faults.size();
-
-  // Apply resumed records: each holds one FaultOutcome byte for a completed
-  // fault. Out-of-range indices or malformed payloads are dropped (those
-  // faults simply re-execute) — the hash-verified manifest makes them
-  // unreachable short of corruption the shard checksums already screen for.
   res.outcomes.assign(faults.size(), FaultOutcome::kNotExcited);
-  std::vector<u8> done(faults.size(), 0);
-  for (const ShardRecord& r : loaded.records) {
-    if (r.index >= faults.size() || r.payload.size() != 1 ||
-        r.payload[0] > static_cast<u8>(FaultOutcome::kUndetected))
-      continue;
-    if (done[r.index] == 0) {
-      done[r.index] = 1;
-      ++res.ckpt.records_resumed;
-    }
-    res.outcomes[r.index] = static_cast<FaultOutcome>(r.payload[0]);
-  }
 
-  // Shard range: everything outside [unit_begin, unit_end) is some other
-  // worker's slice — pre-marked done (placeholder kNotExcited, not counted as
-  // resumed, never journalled) so screening skips whole out-of-range lane
-  // groups and detection never claims those faults.
-  if (cfg_.unit_begin != 0 || cfg_.unit_end != 0) {
-    if (cfg_.unit_begin >= cfg_.unit_end)
-      throw std::runtime_error("fault campaign: empty shard range");
-    for (std::size_t i = 0; i < faults.size(); ++i)
-      if (i < cfg_.unit_begin || i >= cfg_.unit_end) done[i] = 1;
-  }
-
-  // Encodes the c-th recorded module call into a screening state.
-  const auto encode_call = [&](std::size_t c, netlist::EvalState& st) {
-    switch (cfg_.module) {
-      case Module::kFwd: fwd_mod->encode(rec.fwd()[c], st); break;
-      case Module::kHdcu: hdcu_mod->encode(rec.hdcu()[c], st); break;
-      case Module::kIcu: icu_mod->encode(rec.icu()[c], st); break;
-    }
-  };
-
-  // --- Phase 1: 64-lane excitation screening, sharded by lane group ---------------
-  // Each lane group (<= 63 faults + the golden lane) replays the trace in
-  // its own EvalState and writes a disjoint slice of first_div, so workers
-  // share nothing but the immutable netlist, the trace, and the work queue.
-  using netlist::LaneGroupScreen;
-  const std::size_t ngroups = LaneGroupScreen::num_groups(faults.size());
+  // Screening verdict per fault: the first divergent module call.
   std::vector<std::size_t> first_div(faults.size(), SIZE_MAX);
-
-  // Every aggregate derives from the merged outcomes vector (plus the
-  // screening verdict for faults detection has not reached), so the result
-  // is identical for any thread count, straight or resumed. A resumed fault
-  // (done) is excited iff its recorded outcome says so — detection never
-  // records kNotExcited for an excited fault, so the derivation is exact.
-  const auto merge_aggregates = [&] {
-    res.excited = 0;
-    res.detected_signature = res.detected_verdict = res.detected_watchdog = 0;
-    for (std::size_t i = 0; i < faults.size(); ++i) {
-      res.excited += done[i] != 0
-                         ? res.outcomes[i] != FaultOutcome::kNotExcited
-                         : first_div[i] != SIZE_MAX;
-      switch (res.outcomes[i]) {
-        case FaultOutcome::kNotExcited:
-        case FaultOutcome::kUndetected:
-          break;
-        case FaultOutcome::kDetectedSignature: ++res.detected_signature; break;
-        case FaultOutcome::kDetectedVerdict: ++res.detected_verdict; break;
-        case FaultOutcome::kDetectedWatchdog: ++res.detected_watchdog; break;
-      }
-    }
-    res.detected =
-        res.detected_signature + res.detected_verdict + res.detected_watchdog;
-  };
-
+  // Filled by the good run below, before the kernel runs any fault.
+  std::vector<Checkpoint> cps;
+  std::optional<RecorderTap> rec;
+  u64 watchdog = 0;
   // Simulated work executed by this process (stlperf): screen replays and
   // detection cycles accumulate via relaxed atomics — commutative sums, so
   // the totals are identical at any thread count.
   std::atomic<u64> screen_calls_total{0};
   std::atomic<u64> detection_cycles_total{0};
-
-  // Common tail of the complete and the drained (interrupted) exit paths:
-  // journal everything completed so far and stamp the wall clock.
-  const auto finish = [&](bool interrupted) {
-    if (writer) {
-      writer->flush();
-      res.ckpt.shards_flushed = writer->shards_flushed();
-      res.ckpt.flush_ns = writer->flush_ns();
-    }
-    res.ckpt.interrupted = interrupted;
-    res.screen_calls = screen_calls_total.load(std::memory_order_relaxed);
-    res.sim_cycles =
-        res.good_cycles + detection_cycles_total.load(std::memory_order_relaxed);
-    res.wall_seconds =
-        std::chrono::duration<double>(std::chrono::steady_clock::now() - wall_start)
-            .count();
-  };
-
-  tracker.begin_phase(CampaignPhase::kScreening, ngroups);
-  emit_phase(trace::EventKind::kCampaignPhaseBegin, CampaignPhase::kScreening,
-             static_cast<u32>(ngroups), static_cast<u32>(ngroups >> 32));
-  WorkQueue group_queue(ngroups, 1);
-  run_pool(std::min<std::size_t>(threads, std::max<std::size_t>(1, ngroups)),
-           [&](unsigned w) {
-    while (!stop_requested()) {
-      const auto chunk = group_queue.next();
-      if (!chunk) return;
-      for (std::size_t g = chunk->begin; g < chunk->end; ++g) {
-        const std::size_t base = g * LaneGroupScreen::kLanesPerGroup;
-        const std::size_t n = std::min<std::size_t>(
-            LaneGroupScreen::kLanesPerGroup, faults.size() - base);
-        // A resumed checkpoint already records every outcome in this group;
-        // its screening verdicts could change nothing, skip the replay.
-        if (std::all_of(done.begin() + static_cast<std::ptrdiff_t>(base),
-                        done.begin() + static_cast<std::ptrdiff_t>(base + n),
-                        [](u8 d) { return d != 0; })) {
-          tracker.add(w, 1);
-          continue;
-        }
-        LaneGroupScreen screen(*nl, *outs, {faults.data() + base, n});
-        std::size_t replayed = 0;
-        {
-          DETSTL_PROF_SCOPE(perf::ProfScope::kNetlistScreen);
-          for (; replayed < ncalls && !screen.done(); ++replayed) {
-            encode_call(replayed, screen.state());
-            screen.observe(replayed);
-            if (cfg_.module == Module::kIcu) screen.clock();
-          }
-        }
-        screen_calls_total.fetch_add(replayed, std::memory_order_relaxed);
-        perf::sim_totals().add(perf::SimStat::kScreenCalls, replayed);
-        u64 excited_here = 0;
-        for (std::size_t j = 0; j < n; ++j) {
-          first_div[base + j] = screen.first_divergence()[j];
-          excited_here += screen.first_divergence()[j] != SIZE_MAX;
-        }
-        tracker.add(w, 1, excited_here);
-      }
-    }
-    group_queue.halt();
-  });
-  tracker.end_phase();
-
-  merge_aggregates();
-  if (stop_requested()) {
-    // Drained during screening: nothing new completed, but the resumed
-    // outcomes (and their aggregates) are preserved in the partial result.
-    finish(true);
-    return res;
-  }
-  emit_phase(trace::EventKind::kCampaignPhaseEnd, CampaignPhase::kScreening,
-             static_cast<u32>(res.excited), 0);
-
-  // --- Phase 2: detection of excited faults, sharded by fault index ---------------
-  const u64 watchdog = res.good_cycles * 2 + 10'000;
 
   // Re-simulate fault i from its checkpoint; pure function of immutable
   // campaign state, safe to call from any worker.
@@ -559,8 +313,8 @@ CampaignResult Campaign::run() {
     // The checkpoint copy carries the good run's sink; faulty replicas run on
     // worker threads and must never emit (trace/event.h checkpoint contract).
     s.set_trace_sink(nullptr);
-    const std::size_t arm_at = cfg_.signature_from_marker ? rec.marker_idx() : 0;
-    CompareTap cmp(rec.r29(), cp.r29_idx, arm_at);
+    const std::size_t arm_at = cfg_.signature_from_marker ? rec->marker_idx() : 0;
+    CompareTap cmp(rec->r29(), cp.r29_idx, arm_at);
     cpu::CpuHooks hooks;
     hooks.tap = &cmp;
     std::optional<netlist::NetlistForward> fw;
@@ -600,50 +354,207 @@ CampaignResult Campaign::run() {
     return FaultOutcome::kUndetected;
   };
 
-  tracker.begin_phase(CampaignPhase::kDetection, faults.size());
+  // --- Journalled unit kernel (fault/units.h): one unit per sampled fault ----------
+  // The manifest hash binds the on-disk journal to this exact campaign:
+  // netlist identity + routine image + every outcome-relevant config field.
+  // The factory's SoC serves both the fingerprint and the good run below.
+  // Resumed records hold one FaultOutcome byte each; non-excited faults are
+  // journalled too (a 1-byte kNotExcited record): a resumed run must know
+  // they are complete.
+  soc::Soc good = factory_();
+  std::optional<ProgressTracker> tracker;
+  UnitKernel kernel(
+      cfg_,
+      UnitEngine{
+          .units = faults.size(),
+          .kind = PayloadKind::kFaultOutcomes,
+          // Small chunks: per-fault cost is wildly uneven (a watchdog fault
+          // costs 2x the good run; a non-excited one is a single branch), and
+          // the queue's fetch_add is nanoseconds against milliseconds of
+          // simulation.
+          .chunk = 4,
+          .config_hash = [&] { return checkpoint_config_hash(cfg_, *nl, good); },
+          .decode =
+              [&](u64 i, const std::vector<u8>& payload) {
+                if (payload.size() != 1 ||
+                    payload[0] > static_cast<u8>(FaultOutcome::kUndetected))
+                  return false;
+                res.outcomes[i] = static_cast<FaultOutcome>(payload[0]);
+                return true;
+              },
+          .encode =
+              [&](u64 i) {
+                return std::vector<u8>{static_cast<u8>(res.outcomes[i])};
+              },
+          // Workers write disjoint elements; counters are recomputed from
+          // the outcomes vector after the join so the result is
+          // order-independent.
+          .run_one =
+              [&](u64 i) {
+                res.outcomes[i] = first_div[i] == SIZE_MAX
+                                      ? FaultOutcome::kNotExcited
+                                      : detect_one(i);
+                perf::sim_totals().add(perf::SimStat::kFaultUnits, 1);
+              },
+          .on_complete =
+              [&](unsigned w, u64 i) {
+                const FaultOutcome out = res.outcomes[i];
+                tracker->add(w, 1, out != FaultOutcome::kNotExcited,
+                             out != FaultOutcome::kNotExcited &&
+                                 out != FaultOutcome::kUndetected);
+              },
+      },
+      "fault campaign");
+  const std::vector<u8>& done = kernel.done();
+  const unsigned threads = kernel.threads();
+  res.threads_used = threads;
+  tracker.emplace(cfg_.progress, cfg_.progress_every, threads);
+
+  // --- Phase 0: good run with trace recording + checkpoints ---------------------
+  tracker->begin_phase(CampaignPhase::kGoodRun, 0);
+  emit_phase(trace::EventKind::kCampaignPhaseBegin, CampaignPhase::kGoodRun, 0, 0);
+  rec.emplace(cfg_.module);
+  // The good run traces live (it is serial); checkpoints copy the sink
+  // pointer, so detect_one clears it on every restored replica.
+  good.set_trace_sink(cfg_.sink);
+  good.reset();
+  good.core(cfg_.core_id).hooks().tap = &*rec;
+
+  cps.push_back(Checkpoint{good, 0, 0});
+  while (!good.core(cfg_.core_id).halted()) {
+    if (good.now() >= cfg_.max_cycles)
+      throw std::runtime_error("fault campaign: good run exceeded max_cycles");
+    good.tick();
+    if (good.now() % cfg_.checkpoint_every == 0) {
+      cps.push_back(Checkpoint{good, rec->calls(), rec->r29().size()});
+      tracker->add(0, cfg_.checkpoint_every);
+    }
+  }
+  tracker->end_phase();
+  emit_phase(trace::EventKind::kCampaignPhaseEnd, CampaignPhase::kGoodRun, 0, 0);
+  res.good_cycles = good.now();
+  perf::sim_totals().add(perf::SimStat::kGoodRunCycles, good.now());
+  res.good_verdict = core::read_verdict(good, mailbox);
+  if (res.good_verdict.status != soc::kStatusPass)
+    throw std::runtime_error("fault campaign: fault-free run did not pass");
+  watchdog = res.good_cycles * 2 + 10'000;
+
+  const std::size_t ncalls = rec->calls();
+
+  // Encodes the c-th recorded module call into a screening state.
+  const auto encode_call = [&](std::size_t c, netlist::EvalState& st) {
+    switch (cfg_.module) {
+      case Module::kFwd: fwd_mod->encode(rec->fwd()[c], st); break;
+      case Module::kHdcu: hdcu_mod->encode(rec->hdcu()[c], st); break;
+      case Module::kIcu: icu_mod->encode(rec->icu()[c], st); break;
+    }
+  };
+
+  // --- Phase 1: 64-lane excitation screening, sharded by lane group ---------------
+  // Each lane group (<= 63 faults + the golden lane) replays the trace in
+  // its own EvalState and writes a disjoint slice of first_div, so workers
+  // share nothing but the immutable netlist, the trace, and the work queue.
+  using netlist::LaneGroupScreen;
+  const std::size_t ngroups = LaneGroupScreen::num_groups(faults.size());
+
+  // Every aggregate derives from the merged outcomes vector (plus the
+  // screening verdict for faults detection has not reached), so the result
+  // is identical for any thread count, straight or resumed. A done fault
+  // is excited iff its recorded outcome says so — detection never
+  // records kNotExcited for an excited fault, so the derivation is exact.
+  const auto merge_aggregates = [&] {
+    res.excited = 0;
+    res.detected_signature = res.detected_verdict = res.detected_watchdog = 0;
+    for (std::size_t i = 0; i < faults.size(); ++i) {
+      res.excited += done[i] != 0
+                         ? res.outcomes[i] != FaultOutcome::kNotExcited
+                         : first_div[i] != SIZE_MAX;
+      switch (res.outcomes[i]) {
+        case FaultOutcome::kNotExcited:
+        case FaultOutcome::kUndetected:
+          break;
+        case FaultOutcome::kDetectedSignature: ++res.detected_signature; break;
+        case FaultOutcome::kDetectedVerdict: ++res.detected_verdict; break;
+        case FaultOutcome::kDetectedWatchdog: ++res.detected_watchdog; break;
+      }
+    }
+    res.detected =
+        res.detected_signature + res.detected_verdict + res.detected_watchdog;
+  };
+
+  // Common tail of the complete and the drained (interrupted) exit paths.
+  const auto finish = [&] {
+    res.screen_calls = screen_calls_total.load(std::memory_order_relaxed);
+    res.sim_cycles =
+        res.good_cycles + detection_cycles_total.load(std::memory_order_relaxed);
+    res.wall_seconds =
+        std::chrono::duration<double>(std::chrono::steady_clock::now() - wall_start)
+            .count();
+  };
+
+  tracker->begin_phase(CampaignPhase::kScreening, ngroups);
+  emit_phase(trace::EventKind::kCampaignPhaseBegin, CampaignPhase::kScreening,
+             static_cast<u32>(ngroups), static_cast<u32>(ngroups >> 32));
+  kernel.for_each(ngroups, [&](unsigned w, std::size_t g) {
+    const std::size_t base = g * LaneGroupScreen::kLanesPerGroup;
+    const std::size_t n = std::min<std::size_t>(LaneGroupScreen::kLanesPerGroup,
+                                                faults.size() - base);
+    // The kernel already holds every outcome in this group (resumed, merged
+    // or another shard's); its screening verdicts could change nothing, skip
+    // the replay.
+    if (std::all_of(done.begin() + static_cast<std::ptrdiff_t>(base),
+                    done.begin() + static_cast<std::ptrdiff_t>(base + n),
+                    [](u8 d) { return d != 0; })) {
+      tracker->add(w, 1);
+      return;
+    }
+    LaneGroupScreen screen(*nl, *outs, {faults.data() + base, n});
+    std::size_t replayed = 0;
+    {
+      DETSTL_PROF_SCOPE(perf::ProfScope::kNetlistScreen);
+      for (; replayed < ncalls && !screen.done(); ++replayed) {
+        encode_call(replayed, screen.state());
+        screen.observe(replayed);
+        if (cfg_.module == Module::kIcu) screen.clock();
+      }
+    }
+    screen_calls_total.fetch_add(replayed, std::memory_order_relaxed);
+    perf::sim_totals().add(perf::SimStat::kScreenCalls, replayed);
+    u64 excited_here = 0;
+    for (std::size_t j = 0; j < n; ++j) {
+      first_div[base + j] = screen.first_divergence()[j];
+      excited_here += screen.first_divergence()[j] != SIZE_MAX;
+    }
+    tracker->add(w, 1, excited_here);
+  });
+  tracker->end_phase();
+
+  merge_aggregates();
+  if (kernel.stop_requested()) {
+    // Drained during screening: nothing new completed, but the resumed
+    // outcomes (and their aggregates) are preserved in the partial result.
+    res.ckpt = kernel.finish();
+    finish();
+    return res;
+  }
+  emit_phase(trace::EventKind::kCampaignPhaseEnd, CampaignPhase::kScreening,
+             static_cast<u32>(res.excited), 0);
+
+  // --- Phase 2: detection of excited faults, the kernel's unit loop ---------------
+  tracker->begin_phase(CampaignPhase::kDetection, faults.size());
   emit_phase(trace::EventKind::kCampaignPhaseBegin, CampaignPhase::kDetection,
              static_cast<u32>(faults.size()),
              static_cast<u32>(static_cast<u64>(faults.size()) >> 32));
-  // Small chunks: per-fault cost is wildly uneven (a watchdog fault costs
-  // 2x the good run; a non-excited one is a single branch), and the queue's
-  // fetch_add is nanoseconds against milliseconds of simulation.
-  WorkQueue fault_queue(faults.size(), 4, &done);
-  run_pool(std::min<std::size_t>(threads, std::max<std::size_t>(1, faults.size())),
-           [&](unsigned w) {
-    while (!stop_requested()) {
-      const auto chunk = fault_queue.next();
-      if (!chunk) return;
-      u64 excited_here = 0, detected_here = 0;
-      for (std::size_t i = chunk->begin; i < chunk->end; ++i) {
-        if (done[i] != 0) continue;  // resumed shard already records this fault
-        // Workers write disjoint elements; counters are recomputed from the
-        // outcomes vector after the join so the result is order-independent.
-        // Non-excited faults are journalled too (a 1-byte kNotExcited
-        // record): a resumed run must know they are complete.
-        const FaultOutcome out =
-            first_div[i] == SIZE_MAX ? FaultOutcome::kNotExcited : detect_one(i);
-        res.outcomes[i] = out;
-        perf::sim_totals().add(perf::SimStat::kFaultUnits, 1);
-        if (writer) writer->add(i, {static_cast<u8>(out)});
-        if (cfg_.interrupt != nullptr) cfg_.interrupt->on_unit_complete();
-        if (out != FaultOutcome::kNotExcited) {
-          ++excited_here;
-          detected_here += out != FaultOutcome::kUndetected;
-        }
-      }
-      tracker.add(w, chunk->size(), excited_here, detected_here);
-    }
-    fault_queue.halt();
-  });
-  tracker.end_phase();
+  res.ckpt = kernel.run();
+  tracker->end_phase();
 
   // --- Deterministic merge: every aggregate derives from outcomes ----------------
   merge_aggregates();
-  if (stop_requested()) {
-    // Cooperative drain: in-flight chunks finished and everything completed
+  finish();
+  if (res.ckpt.interrupted) {
+    // Cooperative drain: in-flight units finished and everything completed
     // is journalled. No phase-end / per-fault events — a partial stream is
     // outside the determinism contract by definition.
-    finish(true);
     return res;
   }
   emit_phase(trace::EventKind::kCampaignPhaseEnd, CampaignPhase::kDetection,
@@ -666,7 +577,6 @@ CampaignResult Campaign::run() {
                             .kind = trace::EventKind::kCampaignDone,
                             .a = static_cast<u32>(res.detected),
                             .b = static_cast<u32>(res.simulated_faults)});
-  finish(false);
   return res;
 }
 

@@ -18,10 +18,11 @@
 //     compared; a watchdog timeout counts as detected (in-field behaviour).
 //
 // Phases 2 and 3 are embarrassingly parallel (lane groups / faults are
-// independent) and run on a worker pool when CampaignConfig::threads != 1.
-// The result is bit-identical for every thread count: workers write outcomes
-// into a pre-sized vector by fault index and all aggregate counters are
-// recomputed from that vector after the pool joins.
+// independent) and run on the journalled unit kernel's pool (fault/units.h)
+// when CampaignConfig::threads != 1; detection is the kernel's unit loop, one
+// unit per sampled fault. The result is bit-identical for every thread count:
+// workers write outcomes into a pre-sized vector by fault index and all
+// aggregate counters are recomputed from that vector after the pool joins.
 
 #include <functional>
 #include <optional>
@@ -30,6 +31,7 @@
 #include "core/wrapper.h"
 #include "fault/checkpoint.h"
 #include "fault/progress.h"
+#include "fault/units.h"
 #include "netlist/adapters.h"
 #include "soc/soc.h"
 
@@ -39,7 +41,17 @@ enum class Module : u8 { kFwd, kHdcu, kIcu };
 
 const char* module_name(Module m);
 
-struct CampaignConfig {
+/// Outcome-relevant fields plus the observability hooks; the executor fields
+/// (threads, checkpoint, interrupt, sink, unit_begin/unit_end, merge_dirs)
+/// come from ExecutorConfig (fault/units.h). `threads` drives both the
+/// screening and the detection pool. Units are the *simulated* faults, so a
+/// shard worker screens and detects only its slice. The detscope `sink`
+/// sees the good run live; faulty replicas never emit (the campaign clears
+/// the sink on every restored checkpoint copy), and per-fault events are
+/// emitted after the worker pool joins, in fault-index order with a
+/// sequence-number clock — so the stream is byte-identical for every
+/// `threads` value.
+struct CampaignConfig : ExecutorConfig {
   Module module = Module::kFwd;
   unsigned core_id = 0;  // core under grade
   isa::CoreKind kind = isa::CoreKind::kA;
@@ -54,49 +66,11 @@ struct CampaignConfig {
   /// count as detections. The iteration boundary is identified by the loop
   /// counter (r30) reaching 1.
   bool signature_from_marker = false;
-  /// Worker threads for the screening and detection phases. 0 = hardware
-  /// concurrency, 1 = fully serial (no threads are spawned). Any value
-  /// yields the same CampaignResult, byte for byte.
-  unsigned threads = 0;
   /// Optional observability callback (never affects the result). Invoked
   /// under an internal mutex at phase boundaries and roughly every
   /// `progress_every` completed work units.
   ProgressFn progress;
   u32 progress_every = 64;
-  /// detscope event sink (non-owning; null = off). The good run traces live;
-  /// faulty replicas never emit (the campaign clears the sink on every
-  /// restored checkpoint copy), and per-fault events are emitted after the
-  /// worker pool joins, in fault-index order with a sequence-number clock —
-  /// so the stream is byte-identical for every `threads` value.
-  trace::EventSink* sink = nullptr;
-  /// Crash-safe checkpoint/journal (fault/checkpoint.h). With a directory
-  /// set, completed fault outcomes are persisted into checksummed shards
-  /// every `checkpoint.interval` faults; with `checkpoint.resume` the
-  /// campaign loads the verified shards first and only simulates the
-  /// remainder. Neither affects the (completed) result: straight and
-  /// resumed runs are byte-identical.
-  CheckpointConfig checkpoint;
-  /// Cooperative drain request (fault/checkpoint.h). Workers stop claiming
-  /// work once it fires, finish in-flight faults, flush a final shard and
-  /// the campaign returns a partial result with ckpt.interrupted set.
-  /// Null = never interrupted. Not part of the config hash.
-  InterruptToken* interrupt = nullptr;
-  /// Half-open shard range [unit_begin, unit_end) over the *simulated* fault
-  /// list this process executes; (0, 0) = everything. Out-of-range faults are
-  /// pre-marked done with a kNotExcited placeholder (never journalled, never
-  /// simulated), so a shard worker screens and detects only its slice.
-  /// Deliberately EXCLUDED from the checkpoint config hash: every shard of a
-  /// partitioned campaign shares one manifest identity, which is what lets
-  /// src/serve/ reassign a dead worker's subdir to a fresh worker and merge
-  /// all subdirs back into the full result.
-  u64 unit_begin = 0;
-  u64 unit_end = 0;
-  /// Post-hoc merge: additionally load the journals of these per-shard
-  /// checkpoint directories (fault/checkpoint.h load_checkpoint_dirs) and
-  /// treat their records as resumed. Faults no journal covers are simply
-  /// re-executed in-process, so the merged result is byte-identical to the
-  /// single-process run by the same contract as --resume. Not hashed.
-  std::vector<std::string> merge_dirs;
 };
 
 /// The scenario under grade: builds a fresh SoC with all programs loaded and

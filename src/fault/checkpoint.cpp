@@ -15,6 +15,7 @@
 
 #include <ctime>
 
+#include "common/bytes.h"
 #include "common/version.h"
 #include "mem/memmap.h"
 #include "perf/profiler.h"
@@ -40,26 +41,6 @@ constexpr std::size_t kManifestChecksummedBytes = 8 + 4 + 4 + 8 + kManifestProdu
 constexpr std::size_t kManifestBytes = kManifestChecksummedBytes + 8;
 constexpr const char* kManifestName = "manifest.ckpt";
 constexpr const char* kLockName = "manifest.lock";
-
-void put32(std::vector<u8>& out, u32 v) {
-  for (unsigned i = 0; i < 4; ++i) out.push_back(static_cast<u8>(v >> (8 * i)));
-}
-
-void put64(std::vector<u8>& out, u64 v) {
-  for (unsigned i = 0; i < 8; ++i) out.push_back(static_cast<u8>(v >> (8 * i)));
-}
-
-u32 get32(const u8* p) {
-  u32 v = 0;
-  for (unsigned i = 0; i < 4; ++i) v |= static_cast<u32>(p[i]) << (8 * i);
-  return v;
-}
-
-u64 get64(const u8* p) {
-  u64 v = 0;
-  for (unsigned i = 0; i < 8; ++i) v |= static_cast<u64>(p[i]) << (8 * i);
-  return v;
-}
 
 std::string shard_name(u32 index) {
   char buf[32];
@@ -154,19 +135,19 @@ ShardParse parse_shard(const std::vector<u8>& bytes, PayloadKind kind,
   if (bytes.size() < kShardHeaderBytes) return reject(RejectReason::kTruncated);
   if (std::memcmp(bytes.data(), kShardMagic, 8) != 0)
     return reject(RejectReason::kBadMagic);
-  if (get64(bytes.data() + kShardChecksummedBytes) !=
+  if (load64(bytes.data() + kShardChecksummedBytes) !=
       fnv1a(bytes.data(), kShardChecksummedBytes))
     return reject(RejectReason::kBadHeaderChecksum);
   // The header is now known intact — field mismatches are semantic.
-  if (get32(bytes.data() + 8) != kCheckpointSchemaVersion)
+  if (load32(bytes.data() + 8) != kCheckpointSchemaVersion)
     return reject(RejectReason::kVersionSkew);
-  if (get32(bytes.data() + 12) != static_cast<u32>(kind))
+  if (load32(bytes.data() + 12) != static_cast<u32>(kind))
     return reject(RejectReason::kKindMismatch);
-  if (get64(bytes.data() + 16) != config_hash)
+  if (load64(bytes.data() + 16) != config_hash)
     return reject(RejectReason::kHashMismatch);
-  const u64 record_count = get64(bytes.data() + 24);
-  const u64 payload_bytes = get64(bytes.data() + 32);
-  const u64 payload_checksum = get64(bytes.data() + 40);
+  const u64 record_count = load64(bytes.data() + 24);
+  const u64 payload_bytes = load64(bytes.data() + 32);
+  const u64 payload_checksum = load64(bytes.data() + 40);
   if (bytes.size() - kShardHeaderBytes != payload_bytes)
     return reject(RejectReason::kTruncated);
   const u8* payload = bytes.data() + kShardHeaderBytes;
@@ -178,8 +159,8 @@ ShardParse parse_shard(const std::vector<u8>& bytes, PayloadKind kind,
   for (u64 r = 0; r < record_count; ++r) {
     if (payload_bytes - pos < 12) return reject(RejectReason::kMalformedRecords);
     ShardRecord rec;
-    rec.index = get64(payload + pos);
-    const u32 len = get32(payload + pos + 8);
+    rec.index = load64(payload + pos);
+    const u32 len = load32(payload + pos + 8);
     pos += 12;
     if (payload_bytes - pos < len) return reject(RejectReason::kMalformedRecords);
     rec.payload.assign(payload + pos, payload + pos + len);
@@ -348,18 +329,18 @@ LoadedCheckpoint load_checkpoint(const CheckpointConfig& cfg, PayloadKind kind,
                              "' — nothing to resume");
   if (bytes.size() != kManifestBytes ||
       std::memcmp(bytes.data(), kManifestMagic, 8) != 0 ||
-      get64(bytes.data() + kManifestChecksummedBytes) !=
+      load64(bytes.data() + kManifestChecksummedBytes) !=
           fnv1a(bytes.data(), kManifestChecksummedBytes))
     throw CheckpointMismatch("checkpoint: corrupt manifest in '" + cfg.dir + "'");
-  if (get32(bytes.data() + 8) != kCheckpointSchemaVersion)
+  if (load32(bytes.data() + 8) != kCheckpointSchemaVersion)
     throw CheckpointMismatch(
         "checkpoint: schema version skew in '" + cfg.dir + "' (checkpoint v" +
-        std::to_string(get32(bytes.data() + 8)) + ", this binary writes v" +
+        std::to_string(load32(bytes.data() + 8)) + ", this binary writes v" +
         std::to_string(kCheckpointSchemaVersion) + ")");
-  if (get32(bytes.data() + 12) != static_cast<u32>(kind))
+  if (load32(bytes.data() + 12) != static_cast<u32>(kind))
     throw CheckpointMismatch("checkpoint: '" + cfg.dir +
                              "' holds a different campaign type");
-  if (get64(bytes.data() + 16) != config_hash)
+  if (load64(bytes.data() + 16) != config_hash)
     throw CheckpointMismatch(
         "checkpoint: '" + cfg.dir +
         "' was produced by a different campaign configuration, netlist or "

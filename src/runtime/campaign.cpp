@@ -1,36 +1,13 @@
 #include "runtime/campaign.h"
 
 #include <chrono>
-#include <functional>
-#include <optional>
 #include <stdexcept>
-#include <thread>
 
+#include "common/bytes.h"
 #include "common/table.h"
-#include "fault/work_queue.h"
 #include "perf/simstats.h"
 
 namespace detstl::runtime {
-
-namespace {
-
-/// Run `body(worker_id)` on `threads` workers and join; one thread runs the
-/// body on the calling thread (exactly the serial path, no spawn). Same
-/// idiom as the fault campaign's pool.
-void run_pool(unsigned threads, const std::function<void(unsigned)>& body) {
-  if (threads <= 1) {
-    body(0);
-    return;
-  }
-  std::vector<std::thread> pool;
-  pool.reserve(threads);
-  for (unsigned w = 0; w < threads; ++w) pool.emplace_back(body, w);
-  for (auto& t : pool) t.join();
-}
-
-const char* kDefaultRoutines[] = {"alu", "rf-march", "shifter", "branch", "muldiv"};
-
-}  // namespace
 
 u64 derive_run_seed(u64 master, unsigned run) {
   u64 z = master + 0x9e3779b97f4a7c15ull * (run + 1);
@@ -42,7 +19,7 @@ u64 derive_run_seed(u64 master, unsigned run) {
 std::vector<u8> CampaignResult::outcome_vector() const {
   std::vector<u8> out;
   for (const RunRecord& r : records) {
-    for (unsigned i = 0; i < 8; ++i) out.push_back(static_cast<u8>(r.seed >> (8 * i)));
+    put64(out, r.seed);
     const std::vector<u8> v = r.result.outcome_vector();
     out.insert(out.end(), v.begin(), v.end());
   }
@@ -50,61 +27,9 @@ std::vector<u8> CampaignResult::outcome_vector() const {
 }
 
 u64 CampaignResult::digest() const {
-  u64 h = 0xcbf29ce484222325ull;  // FNV-1a 64
-  for (const u8 b : outcome_vector()) {
-    h ^= b;
-    h *= 0x100000001b3ull;
-  }
-  return h;
+  const std::vector<u8> v = outcome_vector();
+  return fault::fnv1a(v.data(), v.size());
 }
-
-namespace {
-
-// Little-endian emit/parse helpers for the loss-less RunRecord round-trip.
-void put8(std::vector<u8>& out, u8 v) { out.push_back(v); }
-void put32(std::vector<u8>& out, u32 v) {
-  for (unsigned i = 0; i < 4; ++i) out.push_back(static_cast<u8>(v >> (8 * i)));
-}
-void put64(std::vector<u8>& out, u64 v) {
-  for (unsigned i = 0; i < 8; ++i) out.push_back(static_cast<u8>(v >> (8 * i)));
-}
-
-/// Bounds-checked little-endian cursor; every get_* fails sticky.
-struct Cursor {
-  const std::vector<u8>* b;
-  std::size_t pos = 0;
-  bool ok = true;
-
-  bool take(std::size_t n) {
-    if (!ok || b->size() - pos < n) return ok = false;
-    return true;
-  }
-  u8 get8() {
-    if (!take(1)) return 0;
-    return (*b)[pos++];
-  }
-  u32 get32() {
-    if (!take(4)) return 0;
-    u32 v = 0;
-    for (unsigned i = 0; i < 4; ++i) v |= static_cast<u32>((*b)[pos++]) << (8 * i);
-    return v;
-  }
-  u64 get64() {
-    if (!take(8)) return 0;
-    u64 v = 0;
-    for (unsigned i = 0; i < 8; ++i) v |= static_cast<u64>((*b)[pos++]) << (8 * i);
-    return v;
-  }
-  std::string get_str() {
-    const u32 n = get32();
-    if (!take(n)) return {};
-    std::string s(reinterpret_cast<const char*>(b->data()) + pos, n);
-    pos += n;
-    return s;
-  }
-};
-
-}  // namespace
 
 std::vector<u8> serialize_run_record(const RunRecord& rec) {
   std::vector<u8> out;
@@ -114,8 +39,7 @@ std::vector<u8> serialize_run_record(const RunRecord& rec) {
     put8(out, cr.quarantined ? 1 : 0);
     put32(out, static_cast<u32>(cr.records.size()));
     for (const RoutineRecord& rr : cr.records) {
-      put32(out, static_cast<u32>(rr.name.size()));
-      out.insert(out.end(), rr.name.begin(), rr.name.end());
+      put_str(out, rr.name);
       put8(out, static_cast<u8>(rr.outcome));
       put8(out, static_cast<u8>(rr.classification));
       put32(out, rr.cached_attempts);
@@ -135,14 +59,14 @@ std::vector<u8> serialize_run_record(const RunRecord& rec) {
 }
 
 bool deserialize_run_record(const std::vector<u8>& bytes, RunRecord& out) {
-  Cursor c{&bytes};
+  ByteReader c(bytes);
   RunRecord rec;
   rec.seed = c.get64();
   if (c.get8() != soc::kMaxCores) return false;
   for (CoreReport& cr : rec.result.cores) {
     cr.quarantined = c.get8() != 0;
     const u32 n = c.get32();
-    if (!c.ok || n > bytes.size()) return false;  // cheap amplification guard
+    if (!c.ok() || n > bytes.size()) return false;  // cheap amplification guard
     cr.records.resize(n);
     for (RoutineRecord& rr : cr.records) {
       rr.name = c.get_str();
@@ -165,21 +89,25 @@ bool deserialize_run_record(const std::vector<u8>& bytes, RunRecord& out) {
     rec.result.injections.applied[k] = c.get64();
     rec.result.injections.skipped[k] = c.get64();
   }
-  if (!c.ok || c.pos != bytes.size()) return false;  // trailing garbage
+  if (!c.done()) return false;  // overrun or trailing garbage
   out = std::move(rec);
   return true;
 }
 
-u64 checkpoint_config_hash(const CampaignSpec& spec, const SchedulePlan& plan) {
+fault::ConfigHasher schedule_config_hasher(fault::PayloadKind kind, u64 seed,
+                                           unsigned runs, unsigned cores,
+                                           const SchedulePlan& plan,
+                                           const SupervisorConfig& sup) {
   fault::ConfigHasher h;
   h.u32v(fault::kCheckpointSchemaVersion)
-      .u32v(static_cast<u32>(fault::PayloadKind::kDisturbanceRuns))
-      .u64v(spec.seed)
-      .u32v(spec.runs)
-      .u32v(spec.cores);
-  // The resolved schedule, not spec.routines: the routine-pointer overload
-  // ignores the name list, and the calibrations feed the watchdog budgets.
-  for (unsigned c = 0; c < spec.cores; ++c) {
+      .u32v(static_cast<u32>(kind))
+      .u64v(seed)
+      .u32v(runs)
+      .u32v(cores);
+  // The resolved schedule, not the routine names: the routine-pointer
+  // overload ignores the name list, and the calibrations feed the watchdog
+  // budgets.
+  for (unsigned c = 0; c < cores; ++c) {
     h.u32v(static_cast<u32>(plan.schedule[c].size()));
     for (const PlannedRoutine& r : plan.schedule[c]) {
       h.str(r.name)
@@ -189,7 +117,6 @@ u64 checkpoint_config_hash(const CampaignSpec& spec, const SchedulePlan& plan) {
           .u64v(r.fallback_calib);
     }
   }
-  const SupervisorConfig& sup = spec.supervisor;
   h.u32v(sup.margin_percent)
       .u64v(sup.watchdog_floor)
       .u32v(sup.max_attempts)
@@ -197,6 +124,13 @@ u64 checkpoint_config_hash(const CampaignSpec& spec, const SchedulePlan& plan) {
       .u64v(sup.backoff_base)
       .u64v(sup.backoff_cap)
       .u64v(sup.global_budget);
+  return h;
+}
+
+u64 checkpoint_config_hash(const CampaignSpec& spec, const SchedulePlan& plan) {
+  fault::ConfigHasher h = schedule_config_hasher(
+      fault::PayloadKind::kDisturbanceRuns, spec.seed, spec.runs, spec.cores,
+      plan, spec.supervisor);
   const DisturbanceSpec& d = spec.disturb;
   h.u32v(d.count)
       .u64v(d.window_lo)
@@ -222,19 +156,11 @@ CampaignResult run_disturbance_campaign(
   const auto t0 = std::chrono::steady_clock::now();
   const SchedulePlan plan = plan_schedule(routines, spec.cores);
 
+  // A zero window derives from the calibrated schedule length, so
+  // disturbances land across the whole run including retries.
   DisturbanceSpec dspec = spec.disturb;
-  if (dspec.window_hi == 0) {
-    // Derive the injection window from the calibrated schedule length: twice
-    // the slowest core's fault-free cached time, so disturbances land across
-    // the whole run including retries.
-    u64 longest = 0;
-    for (unsigned c = 0; c < spec.cores; ++c) {
-      u64 sum = 0;
-      for (const PlannedRoutine& r : plan.schedule[c]) sum += r.cached_calib;
-      longest = std::max(longest, sum);
-    }
-    dspec.window_hi = dspec.window_lo + 2 * longest + 1'000;
-  }
+  if (dspec.window_hi == 0)
+    dspec.window_hi = dspec.window_lo + schedule_horizon(plan, spec.cores);
 
   CampaignResult res;
   res.runs = spec.runs;
@@ -243,119 +169,56 @@ CampaignResult run_disturbance_campaign(
   for (const auto* r : routines) res.routine_names.push_back(r->name());
   res.records.resize(spec.runs);
 
-  const unsigned threads =
-      spec.threads != 0 ? spec.threads
-                        : std::max(1u, std::thread::hardware_concurrency());
-  res.threads_used = std::min<unsigned>(threads, std::max(1u, spec.runs));
-
-  // --- Crash-safe checkpoint/resume (fault/checkpoint.h) -----------------------
-  // Shard payloads are loss-less serialised RunRecords; a record that fails
-  // deserialisation or carries the wrong derived seed is dropped and its run
-  // re-executed.
-  fault::LoadedCheckpoint loaded;
-  std::optional<fault::CheckpointWriter> writer;
-  std::vector<u8> done(spec.runs, 0);
-  const auto stop_requested = [&spec] {
-    return spec.interrupt != nullptr && spec.interrupt->stop_requested();
-  };
-  // Accept a journalled record iff it parses loss-lessly and carries the
-  // derived seed of its run index; anything else is dropped and re-executed.
-  const auto apply_record = [&](const fault::ShardRecord& sr) {
-    RunRecord rec;
-    if (sr.index >= spec.runs || !deserialize_run_record(sr.payload, rec) ||
-        rec.seed != derive_run_seed(spec.seed, static_cast<unsigned>(sr.index)))
-      return;
-    if (done[sr.index] == 0) {
-      done[sr.index] = 1;
-      ++res.ckpt.records_resumed;
-    }
-    res.records[sr.index] = std::move(rec);
-  };
-  if (spec.checkpoint.enabled()) {
-    const u64 hash = checkpoint_config_hash(spec, plan);
-    if (spec.checkpoint.resume)
-      loaded = fault::load_checkpoint(spec.checkpoint,
-                                      fault::PayloadKind::kDisturbanceRuns, hash,
-                                      spec.sink);
-    writer.emplace(spec.checkpoint, fault::PayloadKind::kDisturbanceRuns, hash,
-                   loaded.next_shard, spec.sink);
-    res.ckpt.enabled = true;
-    res.ckpt.shards_loaded = loaded.shards_loaded;
-    res.ckpt.shards_corrupt = loaded.shards_corrupt;
-    for (const fault::ShardRecord& sr : loaded.records) apply_record(sr);
-  }
-  if (!spec.merge_dirs.empty()) {
-    // Post-hoc shard merge (src/serve/): the per-shard journals share this
-    // campaign's manifest identity because the shard range is not hashed.
-    const fault::MultiLoadedCheckpoint merged = fault::load_checkpoint_dirs(
-        spec.merge_dirs, fault::PayloadKind::kDisturbanceRuns,
-        checkpoint_config_hash(spec, plan), spec.sink);
-    res.ckpt.enabled = true;
-    res.ckpt.shards_loaded += merged.shards_loaded;
-    res.ckpt.shards_corrupt += merged.shards_corrupt;
-    for (const fault::ShardRecord& sr : merged.records) apply_record(sr);
-  }
-
-  // Shard range: runs outside [unit_begin, unit_end) belong to other workers.
-  if (spec.unit_begin != 0 || spec.unit_end != 0) {
-    if (spec.unit_begin >= spec.unit_end)
-      throw std::runtime_error("campaign: empty shard range");
-    for (u64 i = 0; i < spec.runs; ++i)
-      if (i < spec.unit_begin || i >= spec.unit_end) done[i] = 1;
-  }
-
-  // Outcomes are written by run index; aggregates (report, digest) are
-  // derived from the merged vector after the join — byte-identical results
-  // at any thread count, straight or resumed.
-  fault::WorkQueue queue(spec.runs, 1, &done);
-  run_pool(res.threads_used, [&](unsigned) {
-    while (!stop_requested()) {
-      const auto chunk = queue.next();
-      if (!chunk) return;
-      for (u64 i = chunk->begin; i < chunk->end; ++i) {
-        if (done[i] != 0) continue;  // resumed shard already records this run
-        const u64 run_seed = derive_run_seed(spec.seed, static_cast<unsigned>(i));
-        DisturbanceInjector injector(
-            make_plan(dspec, run_seed, spec.cores));
-        StlSupervisor sup(plan.soc, plan.schedule, spec.supervisor);
-        res.records[i] = RunRecord{run_seed, sup.run(&injector)};
-        perf::sim_totals().add(perf::SimStat::kDisturbRuns, 1);
-        perf::sim_totals().add(perf::SimStat::kDisturbCycles,
-                               res.records[i].result.total_cycles);
-        if (writer) writer->add(i, serialize_run_record(res.records[i]));
-        if (spec.on_run_complete) spec.on_run_complete(i);
-        if (spec.interrupt != nullptr) spec.interrupt->on_unit_complete();
-      }
-    }
-    queue.halt();
-  });
-
-  if (writer) {
-    writer->flush();
-    res.ckpt.shards_flushed = writer->shards_flushed();
-    res.ckpt.flush_ns = writer->flush_ns();
-  }
-  res.ckpt.interrupted = stop_requested();
+  // One journalled unit per run (fault/units.h). Shard payloads are
+  // loss-less serialised RunRecords; outcomes are written by run index and
+  // aggregates (report, digest) derive from the merged vector after the
+  // join — byte-identical results at any thread count, straight or resumed.
+  fault::UnitKernel kernel(
+      spec,
+      fault::UnitEngine{
+          .units = spec.runs,
+          .kind = fault::PayloadKind::kDisturbanceRuns,
+          .chunk = 1,
+          .config_hash = [&] { return checkpoint_config_hash(spec, plan); },
+          // Accept a journalled record iff it parses loss-lessly and carries
+          // the derived seed of its run index.
+          .decode =
+              [&](u64 i, const std::vector<u8>& payload) {
+                RunRecord rec;
+                if (!deserialize_run_record(payload, rec) ||
+                    rec.seed != derive_run_seed(spec.seed, static_cast<unsigned>(i)))
+                  return false;
+                res.records[i] = std::move(rec);
+                return true;
+              },
+          .encode = [&](u64 i) { return serialize_run_record(res.records[i]); },
+          .run_one =
+              [&](u64 i) {
+                const u64 run_seed =
+                    derive_run_seed(spec.seed, static_cast<unsigned>(i));
+                DisturbanceInjector injector(make_plan(dspec, run_seed, spec.cores));
+                StlSupervisor sup(plan.soc, plan.schedule, spec.supervisor);
+                res.records[i] = RunRecord{run_seed, sup.run(&injector)};
+                perf::sim_totals().add(perf::SimStat::kDisturbRuns, 1);
+                perf::sim_totals().add(perf::SimStat::kDisturbCycles,
+                                       res.records[i].result.total_cycles);
+              },
+          .on_complete =
+              [&](unsigned, u64 i) {
+                if (spec.on_run_complete) spec.on_run_complete(i);
+              },
+      },
+      "campaign");
+  res.threads_used = kernel.workers();
+  res.ckpt = kernel.run();
   res.wall_seconds =
       std::chrono::duration<double>(std::chrono::steady_clock::now() - t0).count();
   return res;
 }
 
 CampaignResult run_disturbance_campaign(const CampaignSpec& spec) {
-  std::vector<std::string> names = spec.routines;
-  if (names.empty())
-    names.assign(std::begin(kDefaultRoutines), std::end(kDefaultRoutines));
-  std::vector<std::unique_ptr<core::SelfTestRoutine>> owned;
-  std::vector<const core::SelfTestRoutine*> ptrs;
-  for (const auto& n : names) {
-    const core::RoutineEntry* e = core::find_routine(n);
-    if (e == nullptr)
-      throw std::runtime_error("campaign: unknown routine '" + n +
-                               "' (see stlint --list)");
-    owned.push_back(e->make());
-    ptrs.push_back(owned.back().get());
-  }
-  return run_disturbance_campaign(spec, ptrs);
+  const RoutineSet set = resolve_routines(spec.routines, "campaign");
+  return run_disturbance_campaign(spec, set.ptrs);
 }
 
 std::string render_recovery_report(const CampaignResult& r) {

@@ -1,7 +1,7 @@
 #pragma once
-// Disturbance campaign: many seeded supervisor runs, sharded over worker
-// threads with the PR 2 work-queue executor. Determinism contract (same as
-// the fault campaign's): the outcome vector — the concatenation of every
+// Disturbance campaign: many seeded supervisor runs, one journalled unit per
+// run on the shared unit kernel (fault/units.h). Determinism contract (same
+// as the fault campaign's): the outcome vector — the concatenation of every
 // run's SupervisorResult::outcome_vector() — is byte-identical for a fixed
 // seed at ANY thread count. Per-run results are written by run index into a
 // pre-sized vector and every aggregate is derived from that vector after the
@@ -11,43 +11,25 @@
 #include <string>
 #include <vector>
 
-#include "fault/checkpoint.h"
+#include "fault/units.h"
 #include "runtime/supervisor.h"
 
 namespace detstl::runtime {
 
-struct CampaignSpec {
+/// Executor fields (threads, checkpoint, interrupt, sink, unit_begin/
+/// unit_end, merge_dirs) come from fault::ExecutorConfig (fault/units.h);
+/// units are run indices and journalled units are whole RunRecords. The
+/// `sink` carries checkpoint telemetry only — the supervised runs never
+/// trace there.
+struct CampaignSpec : fault::ExecutorConfig {
   u64 seed = 0xD15B0001;
   unsigned runs = 16;
-  unsigned threads = 0;   // 0 = one per hardware thread, 1 = serial
   unsigned cores = 3;
   /// Registry routine names (core/stl.h); empty = a default mix of the
   /// built-in routines. The overload taking routine pointers ignores this.
   std::vector<std::string> routines;
   SupervisorConfig supervisor{};
   DisturbanceSpec disturb{};  // window_hi 0 = derived from the calibration
-  /// Crash-safe checkpoint/journal (fault/checkpoint.h): completed run
-  /// records are persisted into checksummed shards and skipped on --resume.
-  /// Straight and killed-and-resumed campaigns are byte-identical.
-  fault::CheckpointConfig checkpoint;
-  /// Cooperative drain request; null = never interrupted. Not hashed.
-  fault::InterruptToken* interrupt = nullptr;
-  /// detscope sink for kCkptFlush/kCkptLoad/kCkptReject telemetry only (the
-  /// supervised runs themselves never trace here). Non-owning; null = off.
-  trace::EventSink* sink = nullptr;
-  /// Half-open shard range [unit_begin, unit_end) of run indices this process
-  /// executes; (0, 0) = all runs. Out-of-range runs are pre-marked done (never
-  /// executed, never journalled). EXCLUDED from the checkpoint config hash so
-  /// every shard of a partitioned campaign shares one manifest identity — the
-  /// property src/serve/ relies on to reassign and merge per-shard journals.
-  u64 unit_begin = 0;
-  u64 unit_end = 0;
-  /// Post-hoc merge: additionally load the journals of these per-shard
-  /// checkpoint directories and treat their records as resumed; runs no
-  /// journal covers are re-executed in-process. The merged result is
-  /// byte-identical to the single-process run by the --resume contract.
-  /// Not hashed.
-  std::vector<std::string> merge_dirs;
   /// Observability hook invoked once per run completed by THIS process (not
   /// for resumed records), with the run index. May be called concurrently
   /// from worker threads; must never affect the result. Not hashed. The
@@ -93,6 +75,15 @@ bool deserialize_run_record(const std::vector<u8>& bytes, RunRecord& out);
 /// and the schedule plan's SoC image fingerprint. Deliberately EXCLUDES
 /// threads, checkpoint, interrupt and sink.
 u64 checkpoint_config_hash(const CampaignSpec& spec, const SchedulePlan& plan);
+
+/// Head shared by the disturbance and soak manifest hashes: schema version,
+/// payload kind, seed, run count, cores, the resolved schedule and the
+/// supervisor config. Each engine appends its own knobs and the SoC image
+/// fingerprint.
+fault::ConfigHasher schedule_config_hasher(fault::PayloadKind kind, u64 seed,
+                                           unsigned runs, unsigned cores,
+                                           const SchedulePlan& plan,
+                                           const SupervisorConfig& sup);
 
 /// Per-run seed: splitmix64-style mix of the master seed and the run index,
 /// so runs are decorrelated but reproducible individually.

@@ -7,7 +7,7 @@
 // regime (SNIPPETS.md snippet 1: memory vs. cache vs. pipeline isolation on
 // a commodity SoC). Everything is a deterministic function of (spec, seed):
 // the plan is compact (site, core, cycle, pick) and replayable, so a soak
-// campaign rides the same sharded + checkpointed executor as the
+// campaign rides the same journalled unit kernel (fault/units.h) as the
 // disturbance campaign and stays byte-identical at any thread count.
 //
 // Differential isolation: when a supervised run under the full upset plan
@@ -145,10 +145,12 @@ struct SoakRunRecord {
 /// not kPassClean, a quarantined core, or an exhausted budget.
 bool soak_run_diverged(const SupervisorResult& r);
 
-struct SoakCampaignSpec {
+/// Executor fields (threads, checkpoint, interrupt, sink, unit_begin/
+/// unit_end, merge_dirs) come from fault::ExecutorConfig (fault/units.h),
+/// all excluded from the config hash.
+struct SoakCampaignSpec : fault::ExecutorConfig {
   u64 seed = 0x5EA50001;
   unsigned runs = 8;
-  unsigned threads = 0;  // 0 = one per hardware thread, 1 = serial
   unsigned cores = 3;
   /// Registry routine names (core/stl.h); empty = the default mix.
   std::vector<std::string> routines;
@@ -157,13 +159,7 @@ struct SoakCampaignSpec {
   /// Run differential bisection on every diverged run (log2(n) extra
   /// supervised runs per divergence). Part of the config hash.
   bool isolate = true;
-  // --- executor plumbing, all excluded from the config hash ----------------
-  fault::CheckpointConfig checkpoint;
-  fault::InterruptToken* interrupt = nullptr;
-  trace::EventSink* sink = nullptr;
-  u64 unit_begin = 0;  // half-open shard range of run indices; (0,0) = all
-  u64 unit_end = 0;
-  std::vector<std::string> merge_dirs;
+  /// Per-run observability hook, as runtime::CampaignSpec::on_run_complete.
   std::function<void(u64)> on_run_complete;
 };
 

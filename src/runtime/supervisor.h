@@ -30,6 +30,7 @@
 // canonically serialisable (outcome_vector) for byte-exact determinism
 // comparisons across worker-thread counts.
 
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -98,6 +99,24 @@ struct SchedulePlan {
 };
 SchedulePlan plan_schedule(const std::vector<const core::SelfTestRoutine*>& routines,
                            unsigned cores);
+
+/// Registry routines (core/stl.h) resolved by name, in order.
+struct RoutineSet {
+  std::vector<std::string> names;
+  std::vector<std::unique_ptr<core::SelfTestRoutine>> owned;
+  std::vector<const core::SelfTestRoutine*> ptrs;  // into owned
+};
+
+/// Resolve `names` from the registry; empty = the default mix (alu,
+/// rf-march, shifter, branch, muldiv). Throws std::runtime_error prefixed
+/// with `who` on an unknown name.
+RoutineSet resolve_routines(const std::vector<std::string>& names,
+                            const char* who);
+
+/// Cycles a disturbance or upset horizon must span so that arrivals cover
+/// the whole schedule including retries: twice the slowest core's
+/// fault-free cached time plus slack.
+u64 schedule_horizon(const SchedulePlan& plan, unsigned cores);
 
 struct RoutineRecord {
   std::string name;
