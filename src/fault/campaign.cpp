@@ -208,6 +208,14 @@ std::vector<u8> CampaignResult::canonical_bytes() const {
   return out;
 }
 
+std::vector<netlist::Fault> sample_faults(
+    const std::vector<netlist::Fault>& all, u32 stride) {
+  std::vector<netlist::Fault> out;
+  for (std::size_t i = 0; i < all.size(); ++i)
+    if ((i / 2) % stride == 0) out.push_back(all[i]);
+  return out;
+}
+
 u64 checkpoint_config_hash(const CampaignConfig& cfg, const netlist::Netlist& nl,
                            const soc::Soc& soc) {
   ConfigHasher h;
@@ -273,28 +281,186 @@ CampaignResult Campaign::run() {
       break;
   }
 
-  // --- Fault list (deterministically sampled) -------------------------------------
-  // The collapsed list interleaves SA0/SA1 per net; sampling strides over
-  // NETS and keeps both polarities of each sampled net, so no polarity bias.
+  // --- Fault list (deterministically sampled) ----------------------------
   const std::vector<netlist::Fault> all_faults = nl->fault_list();
   res.total_faults = all_faults.size();
-  std::vector<netlist::Fault> faults;
-  for (std::size_t i = 0; i < all_faults.size(); ++i)
-    if ((i / 2) % cfg_.fault_stride == 0) faults.push_back(all_faults[i]);
+  const std::vector<netlist::Fault> faults =
+      sample_faults(all_faults, cfg_.fault_stride);
   res.simulated_faults = faults.size();
   res.outcomes.assign(faults.size(), FaultOutcome::kNotExcited);
 
-  // Screening verdict per fault: the first divergent module call.
-  std::vector<std::size_t> first_div(faults.size(), SIZE_MAX);
-  // Filled by the good run below, before the kernel runs any fault.
+  // --- Journalled unit kernel (fault/units.h): one unit per fault -------
+  // The manifest hash binds the on-disk journal to this exact campaign:
+  // netlist identity + routine image + every outcome-relevant config field.
+  // The factory's SoC serves both the fingerprint and the good run below.
+  // A record is one FaultOutcome byte; malformed ones are dropped (those
+  // faults simply re-execute).
+  soc::Soc good = factory_();
+  UnitKernel kernel(
+      cfg_,
+      UnitJournal{
+          .units = faults.size(),
+          .kind = PayloadKind::kFaultOutcomes,
+          .config_hash =
+              [&] { return checkpoint_config_hash(cfg_, *nl, good); },
+          .decode =
+              [&](u64 i, const std::vector<u8>& payload) {
+                if (payload.size() != 1 ||
+                    payload[0] > static_cast<u8>(FaultOutcome::kUndetected))
+                  return false;
+                res.outcomes[i] = static_cast<FaultOutcome>(payload[0]);
+                return true;
+              },
+          .encode =
+              [&](u64 i) {
+                return std::vector<u8>{static_cast<u8>(res.outcomes[i])};
+              },
+      },
+      "fault campaign");
+  const std::vector<u8>& done = kernel.done();
+  res.threads_used = kernel.threads();
+  ProgressTracker tracker(cfg_.progress, cfg_.progress_every, res.threads_used);
+
+  // --- Phase 0: good run with trace recording + checkpoints ---------------------
+  tracker.begin_phase(CampaignPhase::kGoodRun, 0);
+  emit_phase(trace::EventKind::kCampaignPhaseBegin, CampaignPhase::kGoodRun, 0, 0);
+  RecorderTap rec(cfg_.module);
+  // The good run traces live (it is serial); checkpoints copy the sink
+  // pointer, so detect_one clears it on every restored replica.
+  good.set_trace_sink(cfg_.sink);
+  good.reset();
+  good.core(cfg_.core_id).hooks().tap = &rec;
+
   std::vector<Checkpoint> cps;
-  std::optional<RecorderTap> rec;
-  u64 watchdog = 0;
+  cps.push_back(Checkpoint{good, 0, 0});
+  while (!good.core(cfg_.core_id).halted()) {
+    if (good.now() >= cfg_.max_cycles)
+      throw std::runtime_error("fault campaign: good run exceeded max_cycles");
+    good.tick();
+    if (good.now() % cfg_.checkpoint_every == 0) {
+      cps.push_back(Checkpoint{good, rec.calls(), rec.r29().size()});
+      tracker.add(0, cfg_.checkpoint_every);
+    }
+  }
+  tracker.end_phase();
+  emit_phase(trace::EventKind::kCampaignPhaseEnd, CampaignPhase::kGoodRun, 0, 0);
+  res.good_cycles = good.now();
+  perf::sim_totals().add(perf::SimStat::kGoodRunCycles, good.now());
+  res.good_verdict = core::read_verdict(good, mailbox);
+  if (res.good_verdict.status != soc::kStatusPass)
+    throw std::runtime_error("fault campaign: fault-free run did not pass");
+
+  const std::size_t ncalls = rec.calls();
+
+  // Encodes the c-th recorded module call into a screening state.
+  const auto encode_call = [&](std::size_t c, netlist::EvalState& st) {
+    switch (cfg_.module) {
+      case Module::kFwd: fwd_mod->encode(rec.fwd()[c], st); break;
+      case Module::kHdcu: hdcu_mod->encode(rec.hdcu()[c], st); break;
+      case Module::kIcu: icu_mod->encode(rec.icu()[c], st); break;
+    }
+  };
+
+  // --- Phase 1: 64-lane excitation screening, sharded by lane group ---------------
+  // Each lane group (<= 63 faults + the golden lane) replays the trace in
+  // its own EvalState and writes a disjoint slice of first_div, so workers
+  // share nothing but the immutable netlist, the trace, and the work queue.
+  using netlist::LaneGroupScreen;
+  const std::size_t ngroups = LaneGroupScreen::num_groups(faults.size());
+  std::vector<std::size_t> first_div(faults.size(), SIZE_MAX);
+
+  // Every aggregate derives from the merged outcomes vector (plus the
+  // screening verdict for faults detection has not reached), so the result
+  // is identical for any thread count, straight or resumed. A done fault
+  // is excited iff its recorded outcome says so — detection never
+  // records kNotExcited for an excited fault, so the derivation is exact.
+  const auto merge_aggregates = [&] {
+    res.excited = 0;
+    res.detected_signature = res.detected_verdict = res.detected_watchdog = 0;
+    for (std::size_t i = 0; i < faults.size(); ++i) {
+      res.excited += done[i] != 0
+                         ? res.outcomes[i] != FaultOutcome::kNotExcited
+                         : first_div[i] != SIZE_MAX;
+      switch (res.outcomes[i]) {
+        case FaultOutcome::kNotExcited:
+        case FaultOutcome::kUndetected:
+          break;
+        case FaultOutcome::kDetectedSignature: ++res.detected_signature; break;
+        case FaultOutcome::kDetectedVerdict: ++res.detected_verdict; break;
+        case FaultOutcome::kDetectedWatchdog: ++res.detected_watchdog; break;
+      }
+    }
+    res.detected =
+        res.detected_signature + res.detected_verdict + res.detected_watchdog;
+  };
+
   // Simulated work executed by this process (stlperf): screen replays and
   // detection cycles accumulate via relaxed atomics — commutative sums, so
   // the totals are identical at any thread count.
   std::atomic<u64> screen_calls_total{0};
   std::atomic<u64> detection_cycles_total{0};
+
+  // Common tail of the complete and the drained (interrupted) exit paths:
+  // journal everything completed so far and stamp the wall clock.
+  const auto finish = [&](const CheckpointStats& ckpt) {
+    res.ckpt = ckpt;
+    res.screen_calls = screen_calls_total.load(std::memory_order_relaxed);
+    res.sim_cycles =
+        res.good_cycles + detection_cycles_total.load(std::memory_order_relaxed);
+    res.wall_seconds =
+        std::chrono::duration<double>(std::chrono::steady_clock::now() - wall_start)
+            .count();
+  };
+
+  tracker.begin_phase(CampaignPhase::kScreening, ngroups);
+  emit_phase(trace::EventKind::kCampaignPhaseBegin, CampaignPhase::kScreening,
+             static_cast<u32>(ngroups), static_cast<u32>(ngroups >> 32));
+  kernel.for_each(ngroups, [&](unsigned w, std::size_t g) {
+    const std::size_t base = g * LaneGroupScreen::kLanesPerGroup;
+    const std::size_t n = std::min<std::size_t>(LaneGroupScreen::kLanesPerGroup,
+                                                faults.size() - base);
+    // The kernel already holds every outcome in this group (resumed, merged
+    // or another shard's); its screening verdicts could change nothing, skip
+    // the replay.
+    if (std::all_of(done.begin() + static_cast<std::ptrdiff_t>(base),
+                    done.begin() + static_cast<std::ptrdiff_t>(base + n),
+                    [](u8 d) { return d != 0; })) {
+      tracker.add(w, 1);
+      return;
+    }
+    LaneGroupScreen screen(*nl, *outs, {faults.data() + base, n});
+    std::size_t replayed = 0;
+    {
+      DETSTL_PROF_SCOPE(perf::ProfScope::kNetlistScreen);
+      for (; replayed < ncalls && !screen.done(); ++replayed) {
+        encode_call(replayed, screen.state());
+        screen.observe(replayed);
+        if (cfg_.module == Module::kIcu) screen.clock();
+      }
+    }
+    screen_calls_total.fetch_add(replayed, std::memory_order_relaxed);
+    perf::sim_totals().add(perf::SimStat::kScreenCalls, replayed);
+    u64 excited_here = 0;
+    for (std::size_t j = 0; j < n; ++j) {
+      first_div[base + j] = screen.first_divergence()[j];
+      excited_here += screen.first_divergence()[j] != SIZE_MAX;
+    }
+    tracker.add(w, 1, excited_here);
+  });
+  tracker.end_phase();
+
+  merge_aggregates();
+  if (kernel.stop_requested()) {
+    // Drained during screening: nothing new completed, but the resumed
+    // outcomes (and their aggregates) are preserved in the partial result.
+    finish(kernel.finish());
+    return res;
+  }
+  emit_phase(trace::EventKind::kCampaignPhaseEnd, CampaignPhase::kScreening,
+             static_cast<u32>(res.excited), 0);
+
+  // --- Phase 2: detection of excited faults, the kernel's unit loop ------
+  const u64 watchdog = res.good_cycles * 2 + 10'000;
 
   // Re-simulate fault i from its checkpoint; pure function of immutable
   // campaign state, safe to call from any worker.
@@ -313,8 +479,8 @@ CampaignResult Campaign::run() {
     // The checkpoint copy carries the good run's sink; faulty replicas run on
     // worker threads and must never emit (trace/event.h checkpoint contract).
     s.set_trace_sink(nullptr);
-    const std::size_t arm_at = cfg_.signature_from_marker ? rec->marker_idx() : 0;
-    CompareTap cmp(rec->r29(), cp.r29_idx, arm_at);
+    const std::size_t arm_at = cfg_.signature_from_marker ? rec.marker_idx() : 0;
+    CompareTap cmp(rec.r29(), cp.r29_idx, arm_at);
     cpu::CpuHooks hooks;
     hooks.tap = &cmp;
     std::optional<netlist::NetlistForward> fw;
@@ -354,204 +520,35 @@ CampaignResult Campaign::run() {
     return FaultOutcome::kUndetected;
   };
 
-  // --- Journalled unit kernel (fault/units.h): one unit per sampled fault ----------
-  // The manifest hash binds the on-disk journal to this exact campaign:
-  // netlist identity + routine image + every outcome-relevant config field.
-  // The factory's SoC serves both the fingerprint and the good run below.
-  // Resumed records hold one FaultOutcome byte each; non-excited faults are
-  // journalled too (a 1-byte kNotExcited record): a resumed run must know
-  // they are complete.
-  soc::Soc good = factory_();
-  std::optional<ProgressTracker> tracker;
-  UnitKernel kernel(
-      cfg_,
-      UnitEngine{
-          .units = faults.size(),
-          .kind = PayloadKind::kFaultOutcomes,
-          // Small chunks: per-fault cost is wildly uneven (a watchdog fault
-          // costs 2x the good run; a non-excited one is a single branch), and
-          // the queue's fetch_add is nanoseconds against milliseconds of
-          // simulation.
-          .chunk = 4,
-          .config_hash = [&] { return checkpoint_config_hash(cfg_, *nl, good); },
-          .decode =
-              [&](u64 i, const std::vector<u8>& payload) {
-                if (payload.size() != 1 ||
-                    payload[0] > static_cast<u8>(FaultOutcome::kUndetected))
-                  return false;
-                res.outcomes[i] = static_cast<FaultOutcome>(payload[0]);
-                return true;
-              },
-          .encode =
-              [&](u64 i) {
-                return std::vector<u8>{static_cast<u8>(res.outcomes[i])};
-              },
-          // Workers write disjoint elements; counters are recomputed from
-          // the outcomes vector after the join so the result is
-          // order-independent.
-          .run_one =
-              [&](u64 i) {
-                res.outcomes[i] = first_div[i] == SIZE_MAX
-                                      ? FaultOutcome::kNotExcited
-                                      : detect_one(i);
-                perf::sim_totals().add(perf::SimStat::kFaultUnits, 1);
-              },
-          .on_complete =
-              [&](unsigned w, u64 i) {
-                const FaultOutcome out = res.outcomes[i];
-                tracker->add(w, 1, out != FaultOutcome::kNotExcited,
-                             out != FaultOutcome::kNotExcited &&
-                                 out != FaultOutcome::kUndetected);
-              },
-      },
-      "fault campaign");
-  const std::vector<u8>& done = kernel.done();
-  const unsigned threads = kernel.threads();
-  res.threads_used = threads;
-  tracker.emplace(cfg_.progress, cfg_.progress_every, threads);
-
-  // --- Phase 0: good run with trace recording + checkpoints ---------------------
-  tracker->begin_phase(CampaignPhase::kGoodRun, 0);
-  emit_phase(trace::EventKind::kCampaignPhaseBegin, CampaignPhase::kGoodRun, 0, 0);
-  rec.emplace(cfg_.module);
-  // The good run traces live (it is serial); checkpoints copy the sink
-  // pointer, so detect_one clears it on every restored replica.
-  good.set_trace_sink(cfg_.sink);
-  good.reset();
-  good.core(cfg_.core_id).hooks().tap = &*rec;
-
-  cps.push_back(Checkpoint{good, 0, 0});
-  while (!good.core(cfg_.core_id).halted()) {
-    if (good.now() >= cfg_.max_cycles)
-      throw std::runtime_error("fault campaign: good run exceeded max_cycles");
-    good.tick();
-    if (good.now() % cfg_.checkpoint_every == 0) {
-      cps.push_back(Checkpoint{good, rec->calls(), rec->r29().size()});
-      tracker->add(0, cfg_.checkpoint_every);
-    }
-  }
-  tracker->end_phase();
-  emit_phase(trace::EventKind::kCampaignPhaseEnd, CampaignPhase::kGoodRun, 0, 0);
-  res.good_cycles = good.now();
-  perf::sim_totals().add(perf::SimStat::kGoodRunCycles, good.now());
-  res.good_verdict = core::read_verdict(good, mailbox);
-  if (res.good_verdict.status != soc::kStatusPass)
-    throw std::runtime_error("fault campaign: fault-free run did not pass");
-  watchdog = res.good_cycles * 2 + 10'000;
-
-  const std::size_t ncalls = rec->calls();
-
-  // Encodes the c-th recorded module call into a screening state.
-  const auto encode_call = [&](std::size_t c, netlist::EvalState& st) {
-    switch (cfg_.module) {
-      case Module::kFwd: fwd_mod->encode(rec->fwd()[c], st); break;
-      case Module::kHdcu: hdcu_mod->encode(rec->hdcu()[c], st); break;
-      case Module::kIcu: icu_mod->encode(rec->icu()[c], st); break;
-    }
-  };
-
-  // --- Phase 1: 64-lane excitation screening, sharded by lane group ---------------
-  // Each lane group (<= 63 faults + the golden lane) replays the trace in
-  // its own EvalState and writes a disjoint slice of first_div, so workers
-  // share nothing but the immutable netlist, the trace, and the work queue.
-  using netlist::LaneGroupScreen;
-  const std::size_t ngroups = LaneGroupScreen::num_groups(faults.size());
-
-  // Every aggregate derives from the merged outcomes vector (plus the
-  // screening verdict for faults detection has not reached), so the result
-  // is identical for any thread count, straight or resumed. A done fault
-  // is excited iff its recorded outcome says so — detection never
-  // records kNotExcited for an excited fault, so the derivation is exact.
-  const auto merge_aggregates = [&] {
-    res.excited = 0;
-    res.detected_signature = res.detected_verdict = res.detected_watchdog = 0;
-    for (std::size_t i = 0; i < faults.size(); ++i) {
-      res.excited += done[i] != 0
-                         ? res.outcomes[i] != FaultOutcome::kNotExcited
-                         : first_div[i] != SIZE_MAX;
-      switch (res.outcomes[i]) {
-        case FaultOutcome::kNotExcited:
-        case FaultOutcome::kUndetected:
-          break;
-        case FaultOutcome::kDetectedSignature: ++res.detected_signature; break;
-        case FaultOutcome::kDetectedVerdict: ++res.detected_verdict; break;
-        case FaultOutcome::kDetectedWatchdog: ++res.detected_watchdog; break;
-      }
-    }
-    res.detected =
-        res.detected_signature + res.detected_verdict + res.detected_watchdog;
-  };
-
-  // Common tail of the complete and the drained (interrupted) exit paths.
-  const auto finish = [&] {
-    res.screen_calls = screen_calls_total.load(std::memory_order_relaxed);
-    res.sim_cycles =
-        res.good_cycles + detection_cycles_total.load(std::memory_order_relaxed);
-    res.wall_seconds =
-        std::chrono::duration<double>(std::chrono::steady_clock::now() - wall_start)
-            .count();
-  };
-
-  tracker->begin_phase(CampaignPhase::kScreening, ngroups);
-  emit_phase(trace::EventKind::kCampaignPhaseBegin, CampaignPhase::kScreening,
-             static_cast<u32>(ngroups), static_cast<u32>(ngroups >> 32));
-  kernel.for_each(ngroups, [&](unsigned w, std::size_t g) {
-    const std::size_t base = g * LaneGroupScreen::kLanesPerGroup;
-    const std::size_t n = std::min<std::size_t>(LaneGroupScreen::kLanesPerGroup,
-                                                faults.size() - base);
-    // The kernel already holds every outcome in this group (resumed, merged
-    // or another shard's); its screening verdicts could change nothing, skip
-    // the replay.
-    if (std::all_of(done.begin() + static_cast<std::ptrdiff_t>(base),
-                    done.begin() + static_cast<std::ptrdiff_t>(base + n),
-                    [](u8 d) { return d != 0; })) {
-      tracker->add(w, 1);
-      return;
-    }
-    LaneGroupScreen screen(*nl, *outs, {faults.data() + base, n});
-    std::size_t replayed = 0;
-    {
-      DETSTL_PROF_SCOPE(perf::ProfScope::kNetlistScreen);
-      for (; replayed < ncalls && !screen.done(); ++replayed) {
-        encode_call(replayed, screen.state());
-        screen.observe(replayed);
-        if (cfg_.module == Module::kIcu) screen.clock();
-      }
-    }
-    screen_calls_total.fetch_add(replayed, std::memory_order_relaxed);
-    perf::sim_totals().add(perf::SimStat::kScreenCalls, replayed);
-    u64 excited_here = 0;
-    for (std::size_t j = 0; j < n; ++j) {
-      first_div[base + j] = screen.first_divergence()[j];
-      excited_here += screen.first_divergence()[j] != SIZE_MAX;
-    }
-    tracker->add(w, 1, excited_here);
-  });
-  tracker->end_phase();
-
-  merge_aggregates();
-  if (kernel.stop_requested()) {
-    // Drained during screening: nothing new completed, but the resumed
-    // outcomes (and their aggregates) are preserved in the partial result.
-    res.ckpt = kernel.finish();
-    finish();
-    return res;
-  }
-  emit_phase(trace::EventKind::kCampaignPhaseEnd, CampaignPhase::kScreening,
-             static_cast<u32>(res.excited), 0);
-
-  // --- Phase 2: detection of excited faults, the kernel's unit loop ---------------
-  tracker->begin_phase(CampaignPhase::kDetection, faults.size());
+  tracker.begin_phase(CampaignPhase::kDetection, faults.size());
   emit_phase(trace::EventKind::kCampaignPhaseBegin, CampaignPhase::kDetection,
              static_cast<u32>(faults.size()),
              static_cast<u32>(static_cast<u64>(faults.size()) >> 32));
-  res.ckpt = kernel.run();
-  tracker->end_phase();
+  // Small chunks: per-fault cost is wildly uneven (a watchdog fault costs
+  // 2x the good run; a non-excited one is a single branch), and the queue's
+  // fetch_add is nanoseconds against milliseconds of simulation.
+  const CheckpointStats ckpt = kernel.run(
+      4,
+      [&](u64 i) {
+        // Workers write disjoint elements; counters are recomputed from the
+        // outcomes vector after the join so the result is order-independent.
+        // Non-excited faults are journalled too (a 1-byte kNotExcited
+        // record): a resumed run must know they are complete.
+        res.outcomes[i] =
+            first_div[i] == SIZE_MAX ? FaultOutcome::kNotExcited : detect_one(i);
+        perf::sim_totals().add(perf::SimStat::kFaultUnits, 1);
+      },
+      [&](unsigned w, u64 i) {
+        const FaultOutcome out = res.outcomes[i];
+        const bool excited = out != FaultOutcome::kNotExcited;
+        tracker.add(w, 1, excited, excited && out != FaultOutcome::kUndetected);
+      });
+  tracker.end_phase();
 
   // --- Deterministic merge: every aggregate derives from outcomes ----------------
   merge_aggregates();
-  finish();
-  if (res.ckpt.interrupted) {
+  finish(ckpt);
+  if (ckpt.interrupted) {
     // Cooperative drain: in-flight units finished and everything completed
     // is journalled. No phase-end / per-fault events — a partial stream is
     // outside the determinism contract by definition.

@@ -41,16 +41,11 @@ enum class Module : u8 { kFwd, kHdcu, kIcu };
 
 const char* module_name(Module m);
 
-/// Outcome-relevant fields plus the observability hooks; the executor fields
-/// (threads, checkpoint, interrupt, sink, unit_begin/unit_end, merge_dirs)
-/// come from ExecutorConfig (fault/units.h). `threads` drives both the
-/// screening and the detection pool. Units are the *simulated* faults, so a
-/// shard worker screens and detects only its slice. The detscope `sink`
-/// sees the good run live; faulty replicas never emit (the campaign clears
-/// the sink on every restored checkpoint copy), and per-fault events are
-/// emitted after the worker pool joins, in fault-index order with a
-/// sequence-number clock — so the stream is byte-identical for every
-/// `threads` value.
+/// Executor fields come from ExecutorConfig (fault/units.h); `threads` drives
+/// both the screening and the detection pool, and units are the *simulated*
+/// faults. The detscope `sink` sees the good run live; faulty replicas never
+/// emit, and per-fault events follow the join in fault-index order with a
+/// sequence-number clock — byte-identical for every `threads` value.
 struct CampaignConfig : ExecutorConfig {
   Module module = Module::kFwd;
   unsigned core_id = 0;  // core under grade
@@ -136,6 +131,12 @@ struct CampaignResult {
   /// for straight vs killed-and-resumed vs multi-resume executions.
   std::vector<u8> canonical_bytes() const;
 };
+
+/// The simulated faults: the collapsed list interleaves SA0/SA1 per net, and
+/// sampling strides over NETS keeping both polarities of each sampled net,
+/// so there is no polarity bias. stride 1 = exhaustive.
+std::vector<netlist::Fault> sample_faults(
+    const std::vector<netlist::Fault>& all, u32 stride);
 
 /// The hash a checkpoint manifest binds this campaign to: every
 /// outcome-relevant CampaignConfig field (module, graded core, mailbox,

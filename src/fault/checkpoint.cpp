@@ -378,32 +378,6 @@ LoadedCheckpoint load_checkpoint(const CheckpointConfig& cfg, PayloadKind kind,
   return out;
 }
 
-MultiLoadedCheckpoint load_checkpoint_dirs(const std::vector<std::string>& dirs,
-                                           PayloadKind kind, u64 config_hash,
-                                           trace::EventSink* sink) {
-  MultiLoadedCheckpoint out;
-  for (const std::string& d : dirs) {
-    CheckpointConfig cfg;
-    cfg.dir = d;
-    cfg.resume = true;
-    if (!checkpoint_present(cfg)) {
-      // The shard's worker never reached its first manifest write (or the
-      // directory was never created). Its units are simply absent; the
-      // caller re-executes them. A *present but mismatched* manifest still
-      // throws below.
-      ++out.dirs_absent;
-      continue;
-    }
-    LoadedCheckpoint one = load_checkpoint(cfg, kind, config_hash, sink);
-    out.shards_loaded += one.shards_loaded;
-    out.shards_corrupt += one.shards_corrupt;
-    out.records.insert(out.records.end(),
-                       std::make_move_iterator(one.records.begin()),
-                       std::make_move_iterator(one.records.end()));
-  }
-  return out;
-}
-
 CheckpointWriter::CheckpointWriter(const CheckpointConfig& cfg, PayloadKind kind,
                                    u64 config_hash, u32 first_shard,
                                    trace::EventSink* sink)

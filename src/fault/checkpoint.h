@@ -245,25 +245,6 @@ bool checkpoint_present(const CheckpointConfig& cfg);
 LoadedCheckpoint load_checkpoint(const CheckpointConfig& cfg, PayloadKind kind,
                                  u64 config_hash, trace::EventSink* sink);
 
-/// Multi-shard merge primitive (src/serve/): verify and load the journals of
-/// several per-shard checkpoint directories — all bound to the SAME config
-/// hash, since a shard range is deliberately excluded from it — as one
-/// record stream, directories in the given order, shards by number within
-/// each. A directory that never got far enough to hold a manifest is counted
-/// in `dirs_absent` and skipped (its units are simply missing, to be
-/// re-executed by the caller); a directory bound to a DIFFERENT campaign
-/// still throws CheckpointMismatch — silent cross-campaign merges stay
-/// impossible.
-struct MultiLoadedCheckpoint {
-  std::vector<ShardRecord> records;
-  u32 shards_loaded = 0;
-  u32 shards_corrupt = 0;
-  u32 dirs_absent = 0;
-};
-MultiLoadedCheckpoint load_checkpoint_dirs(const std::vector<std::string>& dirs,
-                                           PayloadKind kind, u64 config_hash,
-                                           trace::EventSink* sink);
-
 /// Accumulates completed records and flushes a shard every
 /// `cfg.interval` records (plus a final explicit flush). Thread-safe: the
 /// campaign workers call add() concurrently; whichever worker fills the

@@ -1,28 +1,19 @@
 #pragma once
 // The journalled unit kernel: the one executor behind every campaign that
 // must come out byte-identical at any thread count, across kill/resume and
-// after an stlserve shard merge — the fault campaign's detection phase
-// (fault/campaign.h), the disturbance campaign (runtime/campaign.h) and the
-// SEU soak campaign (runtime/soak.h).
+// after an stlserve shard merge — fault detection (fault/campaign.h), the
+// disturbance campaign (runtime/campaign.h) and the soak campaign
+// (runtime/soak.h).
 //
-// A campaign is `units` independent work units. An engine supplies what a
-// unit is: its count, its PayloadKind and config hash, a decoder that
-// accepts or rejects a journalled payload, an encoder, and run_one(i), a
-// pure function of the unit index that stores its result in the engine's
-// pre-sized slot i. The kernel owns everything else:
-//  * which units are already *done* before any runs — accepted records of a
-//    resumed `checkpoint` or of the `merge_dirs` journals, and every index
-//    outside the shard range [unit_begin, unit_end);
-//  * journalling each finished unit (CheckpointWriter::add, final flush) and
-//    the CheckpointStats bookkeeping;
-//  * the worker pool, fed by a WorkQueue that skips done chunks, drained by
-//    InterruptToken polling.
-//
-// Per finished unit the order is fixed: journal add, then the engine's
-// on_complete hook, then the interrupt countdown. Aggregates are the
-// engine's business, derived from its slots after run() joins, so
-// scheduling order never leaks into a result.
+// An engine supplies its unit count, PayloadKind, config hash and record
+// codec (UnitJournal) and a pure run_one(i) that fills its pre-sized slot i.
+// The kernel alone decides which units are done before any runs (resumed
+// from `checkpoint`, merged from `merge_dirs`, or outside the shard range),
+// journals each finished unit, and pools, feeds and drains the workers.
+// Aggregates are the engine's business, derived from its slots after run()
+// joins, so scheduling order never leaks into a result.
 
+#include <algorithm>
 #include <functional>
 #include <optional>
 #include <string>
@@ -65,26 +56,17 @@ struct ExecutorConfig {
   std::vector<std::string> merge_dirs;
 };
 
-/// What an engine supplies per unit; see the file comment.
-struct UnitEngine {
+/// How an engine's units are journalled; see the file comment.
+struct UnitJournal {
   u64 units = 0;
   PayloadKind kind = PayloadKind::kFaultOutcomes;
-  /// Units per WorkQueue claim.
-  std::size_t chunk = 1;
   /// Manifest identity; evaluated only when a journal is read or written.
   std::function<u64()> config_hash;
   /// Accept the journalled payload of unit `index` (< units) into slot
-  /// `index`, or reject it (false) so the unit is executed again.
+  /// `index`, or reject it (false) so the unit runs again.
   std::function<bool(u64 index, const std::vector<u8>& payload)> decode;
-  /// Journal payload of the finished unit `index`; called only when
-  /// journalling.
+  /// Journal payload of the finished unit `index`.
   std::function<std::vector<u8>(u64 index)> encode;
-  /// Execute unit `index` into slot `index`. Called from any worker; must
-  /// depend on nothing but the index and immutable campaign state.
-  std::function<void(u64 index)> run_one;
-  /// Optional observability hook after each unit this process ran (never
-  /// for done units); may run concurrently on several workers.
-  std::function<void(unsigned worker, u64 index)> on_complete;
 };
 
 class UnitKernel {
@@ -92,12 +74,15 @@ class UnitKernel {
   /// Resolve the thread count, load the resumed and merged journals
   /// (throws CheckpointMismatch on a foreign checkpoint), open the journal
   /// writer and mark the done units. `who` prefixes error messages.
-  UnitKernel(const ExecutorConfig& ex, UnitEngine engine, const char* who);
+  UnitKernel(const ExecutorConfig& ex, UnitJournal journal, const char* who);
 
   /// Resolved thread count (ExecutorConfig::threads == 0 case).
   unsigned threads() const { return threads_; }
   /// Workers run() uses: threads() capped at the unit count.
-  unsigned workers() const;
+  unsigned workers() const {
+    return static_cast<unsigned>(
+        std::min<u64>(threads_, std::max<u64>(1, journal_.units)));
+  }
   /// Done before run(): resumed, merged or outside the shard range.
   const std::vector<u8>& done() const { return done_; }
   bool stop_requested() const {
@@ -110,19 +95,24 @@ class UnitKernel {
   void for_each(std::size_t count,
                 const std::function<void(unsigned, std::size_t)>& body) const;
 
-  /// Execute every unit not done, then finish(). Stops claiming units once
-  /// a drain is requested. The first exception a unit throws is rethrown
-  /// after every worker joined.
-  CheckpointStats run();
+  /// Execute every unit not done, `chunk` units per claim: run_one(i) —
+  /// which must depend on nothing but i and immutable campaign state, since
+  /// any worker may call it — then the journal add, the optional
+  /// observability hook on_complete(worker, i), the interrupt countdown.
+  /// Stops claiming once a drain is requested, then finish(). The first
+  /// exception a unit throws is rethrown after every worker joined.
+  CheckpointStats run(
+      std::size_t chunk, const std::function<void(u64)>& run_one,
+      const std::function<void(unsigned, u64)>& on_complete = {});
   /// Flush the journal and return the bookkeeping; interrupted = a drain
   /// was requested.
   CheckpointStats finish();
 
  private:
-  void accept(const std::vector<ShardRecord>& records);
+  void accept(const LoadedCheckpoint& loaded);
 
   const ExecutorConfig& ex_;
-  UnitEngine engine_;
+  UnitJournal journal_;
   unsigned threads_ = 1;
   std::vector<u8> done_;
   std::optional<CheckpointWriter> writer_;

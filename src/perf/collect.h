@@ -66,8 +66,26 @@ inline void collect_soc(Registry& reg, const soc::Soc& soc) {
   reg.add_counter("bus.stall_ticks", "", soc.bus().stall_ticks());
 }
 
-/// Fault-campaign outcome counters (+ checkpoint bookkeeping, host-tagged:
-/// shard counts depend on interrupt timing, not on the simulation).
+/// Throughput, pool size and journal bookkeeping of any journalled campaign
+/// result over `units` work units. The journal counters are host-tagged:
+/// shard counts depend on interrupt timing, not on the simulation.
+template <typename Result>
+void collect_executor(Registry& reg, const Result& r, u64 units,
+                      const std::string& labels) {
+  if (r.wall_seconds > 0)
+    reg.set_gauge("campaign.units_per_s", labels,
+                  static_cast<double>(units) / r.wall_seconds);
+  reg.set_gauge("campaign.workers", labels, r.threads_used);
+  if (!r.ckpt.enabled) return;
+  reg.add_counter("ckpt.shards_flushed", labels, r.ckpt.shards_flushed,
+                  MetricSource::kHost);
+  reg.add_counter("ckpt.shards_loaded", labels, r.ckpt.shards_loaded,
+                  MetricSource::kHost);
+  reg.add_counter("ckpt.records_resumed", labels, r.ckpt.records_resumed,
+                  MetricSource::kHost);
+}
+
+/// Fault-campaign outcome counters (+ checkpoint bookkeeping).
 inline void collect_fault_result(Registry& reg, const fault::CampaignResult& r,
                                  const std::string& labels) {
   reg.add_counter("campaign.faults.total", labels, r.total_faults);
@@ -82,18 +100,7 @@ inline void collect_fault_result(Registry& reg, const fault::CampaignResult& r,
   reg.add_counter("campaign.good_cycles", labels, r.good_cycles);
   reg.add_counter("campaign.sim_cycles", labels, r.sim_cycles);
   reg.add_counter("campaign.screen_calls", labels, r.screen_calls);
-  if (r.wall_seconds > 0)
-    reg.set_gauge("campaign.units_per_s", labels,
-                  static_cast<double>(r.simulated_faults) / r.wall_seconds);
-  reg.set_gauge("campaign.workers", labels, r.threads_used);
-  if (r.ckpt.enabled) {
-    reg.add_counter("ckpt.shards_flushed", labels, r.ckpt.shards_flushed,
-                    MetricSource::kHost);
-    reg.add_counter("ckpt.shards_loaded", labels, r.ckpt.shards_loaded,
-                    MetricSource::kHost);
-    reg.add_counter("ckpt.records_resumed", labels, r.ckpt.records_resumed,
-                    MetricSource::kHost);
-  }
+  collect_executor(reg, r, r.simulated_faults, labels);
 }
 
 /// Disturbance-campaign recovery counters: retries, degradations, recovery
@@ -130,18 +137,7 @@ inline void collect_disturbance_result(Registry& reg,
   reg.add_counter("campaign.degraded", labels, degraded);
   reg.add_counter("campaign.quarantined_runs", labels, quarantined_runs);
   reg.add_counter("campaign.budget_exhausted", labels, budget_exhausted);
-  if (r.wall_seconds > 0)
-    reg.set_gauge("campaign.units_per_s", labels,
-                  static_cast<double>(r.runs) / r.wall_seconds);
-  reg.set_gauge("campaign.workers", labels, r.threads_used);
-  if (r.ckpt.enabled) {
-    reg.add_counter("ckpt.shards_flushed", labels, r.ckpt.shards_flushed,
-                    MetricSource::kHost);
-    reg.add_counter("ckpt.shards_loaded", labels, r.ckpt.shards_loaded,
-                    MetricSource::kHost);
-    reg.add_counter("ckpt.records_resumed", labels, r.ckpt.records_resumed,
-                    MetricSource::kHost);
-  }
+  collect_executor(reg, r, r.runs, labels);
 }
 
 /// Total simulated work accumulated by the engines (perf/simstats.h),

@@ -16,6 +16,7 @@ u64 derive_run_seed(u64 master, unsigned run) {
   return z ^ (z >> 31);
 }
 
+template <>
 std::vector<u8> CampaignResult::outcome_vector() const {
   std::vector<u8> out;
   for (const RunRecord& r : records) {
@@ -24,11 +25,6 @@ std::vector<u8> CampaignResult::outcome_vector() const {
     out.insert(out.end(), v.begin(), v.end());
   }
   return out;
-}
-
-u64 CampaignResult::digest() const {
-  const std::vector<u8> v = outcome_vector();
-  return fault::fnv1a(v.data(), v.size());
 }
 
 std::vector<u8> serialize_run_record(const RunRecord& rec) {
@@ -163,54 +159,21 @@ CampaignResult run_disturbance_campaign(
     dspec.window_hi = dspec.window_lo + schedule_horizon(plan, spec.cores);
 
   CampaignResult res;
-  res.runs = spec.runs;
-  res.cores = spec.cores;
-  res.seed = spec.seed;
   for (const auto* r : routines) res.routine_names.push_back(r->name());
-  res.records.resize(spec.runs);
-
-  // One journalled unit per run (fault/units.h). Shard payloads are
-  // loss-less serialised RunRecords; outcomes are written by run index and
-  // aggregates (report, digest) derive from the merged vector after the
-  // join — byte-identical results at any thread count, straight or resumed.
-  fault::UnitKernel kernel(
-      spec,
-      fault::UnitEngine{
-          .units = spec.runs,
-          .kind = fault::PayloadKind::kDisturbanceRuns,
-          .chunk = 1,
-          .config_hash = [&] { return checkpoint_config_hash(spec, plan); },
-          // Accept a journalled record iff it parses loss-lessly and carries
-          // the derived seed of its run index.
-          .decode =
-              [&](u64 i, const std::vector<u8>& payload) {
-                RunRecord rec;
-                if (!deserialize_run_record(payload, rec) ||
-                    rec.seed != derive_run_seed(spec.seed, static_cast<unsigned>(i)))
-                  return false;
-                res.records[i] = std::move(rec);
-                return true;
-              },
-          .encode = [&](u64 i) { return serialize_run_record(res.records[i]); },
-          .run_one =
-              [&](u64 i) {
-                const u64 run_seed =
-                    derive_run_seed(spec.seed, static_cast<unsigned>(i));
-                DisturbanceInjector injector(make_plan(dspec, run_seed, spec.cores));
-                StlSupervisor sup(plan.soc, plan.schedule, spec.supervisor);
-                res.records[i] = RunRecord{run_seed, sup.run(&injector)};
-                perf::sim_totals().add(perf::SimStat::kDisturbRuns, 1);
-                perf::sim_totals().add(perf::SimStat::kDisturbCycles,
-                                       res.records[i].result.total_cycles);
-              },
-          .on_complete =
-              [&](unsigned, u64 i) {
-                if (spec.on_run_complete) spec.on_run_complete(i);
-              },
+  run_journalled(
+      spec, fault::PayloadKind::kDisturbanceRuns,
+      [&] { return checkpoint_config_hash(spec, plan); }, serialize_run_record,
+      deserialize_run_record,
+      [&](u64 run_seed) {
+        DisturbanceInjector injector(make_plan(dspec, run_seed, spec.cores));
+        StlSupervisor sup(plan.soc, plan.schedule, spec.supervisor);
+        RunRecord rec{run_seed, sup.run(&injector)};
+        perf::sim_totals().add(perf::SimStat::kDisturbRuns, 1);
+        perf::sim_totals().add(perf::SimStat::kDisturbCycles,
+                               rec.result.total_cycles);
+        return rec;
       },
-      "campaign");
-  res.threads_used = kernel.workers();
-  res.ckpt = kernel.run();
+      "campaign", res);
   res.wall_seconds =
       std::chrono::duration<double>(std::chrono::steady_clock::now() - t0).count();
   return res;

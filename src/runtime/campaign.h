@@ -16,11 +16,9 @@
 
 namespace detstl::runtime {
 
-/// Executor fields (threads, checkpoint, interrupt, sink, unit_begin/
-/// unit_end, merge_dirs) come from fault::ExecutorConfig (fault/units.h);
-/// units are run indices and journalled units are whole RunRecords. The
-/// `sink` carries checkpoint telemetry only — the supervised runs never
-/// trace there.
+/// Executor fields come from fault::ExecutorConfig (fault/units.h); units
+/// are run indices. The `sink` carries checkpoint telemetry only — the
+/// supervised runs never trace there.
 struct CampaignSpec : fault::ExecutorConfig {
   u64 seed = 0xD15B0001;
   unsigned runs = 16;
@@ -42,22 +40,32 @@ struct RunRecord {
   SupervisorResult result;
 };
 
-struct CampaignResult {
+/// Result of a journalled runtime campaign (disturbance, soak).
+template <typename Record>
+struct RunCampaignResult {
   unsigned runs = 0;
   unsigned cores = 0;
   unsigned threads_used = 0;
   u64 seed = 0;
   std::vector<std::string> routine_names;
-  std::vector<RunRecord> records;  // indexed by run
-  double wall_seconds = 0.0;       // excluded from the determinism contract
+  std::vector<Record> records;  // indexed by run
+  double wall_seconds = 0.0;    // excluded from the determinism contract
   /// Checkpoint/resume bookkeeping; excluded from the determinism contract.
   fault::CheckpointStats ckpt;
 
-  /// Concatenated canonical run results (byte-identical across thread counts).
+  /// Concatenated canonical run results (byte-identical across thread
+  /// counts); specialised per record type.
   std::vector<u8> outcome_vector() const;
   /// FNV-1a 64 of outcome_vector().
-  u64 digest() const;
+  u64 digest() const {
+    const std::vector<u8> v = outcome_vector();
+    return fault::fnv1a(v.data(), v.size());
+  }
 };
+
+using CampaignResult = RunCampaignResult<RunRecord>;
+template <>
+std::vector<u8> CampaignResult::outcome_vector() const;
 
 /// Full round-trip serialisation of one run record (seed + every
 /// SupervisorResult field, including routine names) — the shard payload of a
@@ -88,6 +96,49 @@ fault::ConfigHasher schedule_config_hasher(fault::PayloadKind kind, u64 seed,
 /// Per-run seed: splitmix64-style mix of the master seed and the run index,
 /// so runs are decorrelated but reproducible individually.
 u64 derive_run_seed(u64 master, unsigned run);
+
+/// The executor both runtime campaigns share: spec.runs supervised runs as
+/// journalled units (fault/units.h), written into res.records by run index.
+/// A journalled record is accepted iff it decodes loss-lessly and carries
+/// the derived seed of its run; anything else runs again. `run(seed)`
+/// executes one run. `who` prefixes error messages.
+template <typename Spec, typename Record, typename Run>
+void run_journalled(const Spec& spec, fault::PayloadKind kind,
+                    std::function<u64()> config_hash,
+                    std::vector<u8> (*encode)(const Record&),
+                    bool (*decode)(const std::vector<u8>&, Record&), Run run,
+                    const char* who, RunCampaignResult<Record>& res) {
+  res.runs = spec.runs;
+  res.cores = spec.cores;
+  res.seed = spec.seed;
+  res.records.resize(spec.runs);
+  const auto seed_of = [&spec](u64 i) {
+    return derive_run_seed(spec.seed, static_cast<unsigned>(i));
+  };
+  fault::UnitKernel kernel(
+      spec,
+      fault::UnitJournal{
+          .units = spec.runs,
+          .kind = kind,
+          .config_hash = std::move(config_hash),
+          .decode =
+              [&](u64 i, const std::vector<u8>& payload) {
+                Record rec;
+                if (!decode(payload, rec) || rec.seed != seed_of(i))
+                  return false;
+                res.records[i] = std::move(rec);
+                return true;
+              },
+          .encode = [&](u64 i) { return encode(res.records[i]); },
+      },
+      who);
+  res.threads_used = kernel.workers();
+  res.ckpt = kernel.run(
+      1, [&](u64 i) { res.records[i] = run(seed_of(i)); },
+      [&](unsigned, u64 i) {
+        if (spec.on_run_complete) spec.on_run_complete(i);
+      });
+}
 
 CampaignResult run_disturbance_campaign(
     const CampaignSpec& spec,

@@ -217,11 +217,11 @@ SoakRunRecord run_soak_once(const SchedulePlan& sp, const SoakCampaignSpec& spec
 
 }  // namespace
 
-std::vector<u8> serialize_soak_record(const SoakRunRecord& rec) {
-  const std::vector<u8> inner = serialize_run_record(RunRecord{rec.seed, rec.result});
-  std::vector<u8> out;
-  put32(out, static_cast<u32>(inner.size()));
-  out.insert(out.end(), inner.begin(), inner.end());
+namespace {
+
+/// The soak-specific tail of a record — upset stats and the isolation
+/// verdict — identical in the journal payload and the outcome vector.
+void put_soak_tail(std::vector<u8>& out, const SoakRunRecord& rec) {
   for (unsigned s = 0; s < kNumSoakSites; ++s) {
     put64(out, rec.stats.applied[s]);
     put64(out, rec.stats.skipped[s]);
@@ -236,6 +236,17 @@ std::vector<u8> serialize_soak_record(const SoakRunRecord& rec) {
   put32(out, iso.addr);
   put32(out, iso.bit);
   put32(out, iso.reruns);
+}
+
+}  // namespace
+
+std::vector<u8> serialize_soak_record(const SoakRunRecord& rec) {
+  std::vector<u8> out;
+  const std::vector<u8> inner =
+      serialize_run_record(RunRecord{rec.seed, rec.result});
+  put32(out, static_cast<u32>(inner.size()));
+  out.insert(out.end(), inner.begin(), inner.end());
+  put_soak_tail(out, rec);
   return out;
 }
 
@@ -269,9 +280,9 @@ bool deserialize_soak_record(const std::vector<u8>& bytes, SoakRunRecord& out) {
 }
 
 u64 soak_checkpoint_config_hash(const SoakCampaignSpec& spec, const SchedulePlan& plan) {
-  fault::ConfigHasher h =
-      schedule_config_hasher(fault::PayloadKind::kSoakRuns, spec.seed, spec.runs,
-                             spec.cores, plan, spec.supervisor);
+  fault::ConfigHasher h = schedule_config_hasher(
+      fault::PayloadKind::kSoakRuns, spec.seed, spec.runs, spec.cores, plan,
+      spec.supervisor);
   h.u64v(spec.soak.duration)
       .u32v(spec.soak.rates.ram)
       .u32v(spec.soak.rates.l1i)
@@ -282,32 +293,16 @@ u64 soak_checkpoint_config_hash(const SoakCampaignSpec& spec, const SchedulePlan
   return h.digest();
 }
 
+template <>
 std::vector<u8> SoakCampaignResult::outcome_vector() const {
   std::vector<u8> out;
   for (const SoakRunRecord& r : records) {
     put64(out, r.seed);
     const std::vector<u8> v = r.result.outcome_vector();
     out.insert(out.end(), v.begin(), v.end());
-    for (unsigned s = 0; s < kNumSoakSites; ++s) {
-      put64(out, r.stats.applied[s]);
-      put64(out, r.stats.skipped[s]);
-    }
-    put8(out, r.isolation.diverged);
-    put8(out, r.isolation.isolated);
-    put32(out, r.isolation.upset_index);
-    put8(out, static_cast<u8>(r.isolation.site));
-    put8(out, r.isolation.core);
-    put64(out, r.isolation.cycle);
-    put32(out, r.isolation.addr);
-    put32(out, r.isolation.bit);
-    put32(out, r.isolation.reruns);
+    put_soak_tail(out, r);
   }
   return out;
-}
-
-u64 SoakCampaignResult::digest() const {
-  const std::vector<u8> v = outcome_vector();
-  return fault::fnv1a(v.data(), v.size());
 }
 
 SoakCampaignResult run_soak_campaign(const SoakCampaignSpec& spec_in) {
@@ -320,48 +315,17 @@ SoakCampaignResult run_soak_campaign(const SoakCampaignSpec& spec_in) {
   const SchedulePlan plan = plan_schedule(set.ptrs, spec.cores);
   // Same horizon as the disturbance window, so arrivals cover retries too.
   // Resolved before hashing: the manifest binds the effective duration.
-  if (spec.soak.duration == 0) spec.soak.duration = schedule_horizon(plan, spec.cores);
+  if (spec.soak.duration == 0)
+    spec.soak.duration = schedule_horizon(plan, spec.cores);
 
   SoakCampaignResult res;
-  res.runs = spec.runs;
-  res.cores = spec.cores;
-  res.seed = spec.seed;
   res.routine_names = set.names;
-  res.records.resize(spec.runs);
-
-  // One journalled unit per run (fault/units.h), exactly as the disturbance
-  // campaign: a record is accepted iff it parses loss-lessly and carries the
-  // derived seed of its run index.
-  fault::UnitKernel kernel(
-      spec,
-      fault::UnitEngine{
-          .units = spec.runs,
-          .kind = fault::PayloadKind::kSoakRuns,
-          .chunk = 1,
-          .config_hash = [&] { return soak_checkpoint_config_hash(spec, plan); },
-          .decode =
-              [&](u64 i, const std::vector<u8>& payload) {
-                SoakRunRecord rec;
-                if (!deserialize_soak_record(payload, rec) ||
-                    rec.seed != derive_run_seed(spec.seed, static_cast<unsigned>(i)))
-                  return false;
-                res.records[i] = std::move(rec);
-                return true;
-              },
-          .encode = [&](u64 i) { return serialize_soak_record(res.records[i]); },
-          .run_one =
-              [&](u64 i) {
-                res.records[i] = run_soak_once(
-                    plan, spec, derive_run_seed(spec.seed, static_cast<unsigned>(i)));
-              },
-          .on_complete =
-              [&](unsigned, u64 i) {
-                if (spec.on_run_complete) spec.on_run_complete(i);
-              },
-      },
-      "soak");
-  res.threads_used = kernel.workers();
-  res.ckpt = kernel.run();
+  run_journalled(
+      spec, fault::PayloadKind::kSoakRuns,
+      [&] { return soak_checkpoint_config_hash(spec, plan); },
+      serialize_soak_record, deserialize_soak_record,
+      [&](u64 run_seed) { return run_soak_once(plan, spec, run_seed); }, "soak",
+      res);
   res.wall_seconds =
       std::chrono::duration<double>(std::chrono::steady_clock::now() - t0).count();
   return res;

@@ -145,9 +145,8 @@ struct SoakRunRecord {
 /// not kPassClean, a quarantined core, or an exhausted budget.
 bool soak_run_diverged(const SupervisorResult& r);
 
-/// Executor fields (threads, checkpoint, interrupt, sink, unit_begin/
-/// unit_end, merge_dirs) come from fault::ExecutorConfig (fault/units.h),
-/// all excluded from the config hash.
+/// Executor fields come from fault::ExecutorConfig (fault/units.h), all
+/// excluded from the config hash.
 struct SoakCampaignSpec : fault::ExecutorConfig {
   u64 seed = 0x5EA50001;
   unsigned runs = 8;
@@ -163,21 +162,9 @@ struct SoakCampaignSpec : fault::ExecutorConfig {
   std::function<void(u64)> on_run_complete;
 };
 
-struct SoakCampaignResult {
-  unsigned runs = 0;
-  unsigned cores = 0;
-  unsigned threads_used = 0;
-  u64 seed = 0;
-  std::vector<std::string> routine_names;
-  std::vector<SoakRunRecord> records;  // indexed by run
-  double wall_seconds = 0.0;           // excluded from the determinism contract
-  fault::CheckpointStats ckpt;         // excluded from the determinism contract
-
-  /// Concatenated canonical run results (byte-identical across thread counts).
-  std::vector<u8> outcome_vector() const;
-  /// FNV-1a 64 of outcome_vector().
-  u64 digest() const;
-};
+using SoakCampaignResult = RunCampaignResult<SoakRunRecord>;
+template <>
+std::vector<u8> SoakCampaignResult::outcome_vector() const;
 
 /// Loss-less shard payload of a soak-campaign checkpoint (framed
 /// serialize_run_record + soak stats + isolation verdict).

@@ -18,6 +18,7 @@
 #include <unistd.h>
 #endif
 
+#include "common/bytes.h"
 #include "core/routines.h"
 #include "exp/experiments.h"
 #include "fault/checkpoint.h"
@@ -59,10 +60,9 @@ constexpr std::uintmax_t kHeartbeatRecordBytes = 8;
 void append_run_index(const std::string& path, u64 unit) {
   std::FILE* f = std::fopen(path.c_str(), "ab");
   if (f == nullptr) return;  // heartbeat loss degrades to the wall-clock budget
-  u8 rec[kHeartbeatRecordBytes];
-  for (unsigned i = 0; i < sizeof rec; ++i)
-    rec[i] = static_cast<u8>(unit >> (8 * i));
-  std::fwrite(rec, 1, sizeof rec, f);
+  std::vector<u8> rec;
+  put64(rec, unit);
+  std::fwrite(rec.data(), 1, rec.size(), f);
   std::fclose(f);
 }
 
@@ -80,9 +80,7 @@ bool last_run_index(const std::string& path, u64& out) {
     u8 buf[kHeartbeatRecordBytes];
     if (whole >= rec && std::fseek(f, whole - rec, SEEK_SET) == 0 &&
         std::fread(buf, 1, sizeof buf, f) == sizeof buf) {
-      out = 0;
-      for (unsigned i = 0; i < sizeof buf; ++i)
-        out |= static_cast<u64>(buf[i]) << (8 * i);
+      out = load64(buf);
       ok = true;
     }
   }
@@ -124,6 +122,21 @@ fault::CampaignConfig fault_config(const ServeSpec& spec) {
   return cc;
 }
 
+/// Executor settings of a shard worker, the same for every kind: process-
+/// level parallelism only (one thread keeps workers preemptible), the shard
+/// range, this shard's journal (resumed when present) and the drain token.
+void shard_executor(const WorkerArgs& a, fault::ExecutorConfig& ex) {
+  ex.threads = 1;
+  ex.unit_begin = a.begin;
+  ex.unit_end = a.end;
+  ex.checkpoint.dir = a.dir;
+  ex.checkpoint.interval = a.spec.checkpoint_interval;
+  ex.checkpoint.fsync =
+      a.no_fsync ? fault::FsyncPolicy::kNone : fault::FsyncPolicy::kEveryShard;
+  ex.checkpoint.resume = fault::checkpoint_present(ex.checkpoint);
+  ex.interrupt = &fault::global_interrupt();
+}
+
 fault::SocFactory fault_factory(const ServeSpec& spec) {
   const auto routine = routine_for(module_of(spec));
   exp::Scenario sc{1, {0, 0, 0}, 0, 0, "serve"};
@@ -134,25 +147,21 @@ fault::SocFactory fault_factory(const ServeSpec& spec) {
 
 }  // namespace
 
-u64 spec_unit_count(const ServeSpec& spec) {
-  if (spec.kind != "fault") return spec.runs;
-  const auto count = [&spec](const netlist::Netlist& nl) {
-    // The campaign's sampling rule (fault/campaign.cpp): stride over NETS,
-    // keep both stuck-at polarities of each sampled net.
-    const u64 total = nl.fault_list().size();
-    u64 n = 0;
-    for (u64 i = 0; i < total; ++i)
-      if ((i / 2) % std::max(1u, spec.stride) == 0) ++n;
-    return n;
-  };
+netlist::Netlist fault_netlist(const ServeSpec& spec) {
+  const isa::CoreKind a = isa::CoreKind::kA;
   switch (module_of(spec)) {
-    case fault::Module::kHdcu:
-      return count(netlist::HdcuNetlist(isa::CoreKind::kA).nl());
-    case fault::Module::kIcu:
-      return count(netlist::IcuNetlist(isa::CoreKind::kA).nl());
+    case fault::Module::kHdcu: return netlist::HdcuNetlist(a).nl();
+    case fault::Module::kIcu: return netlist::IcuNetlist(a).nl();
     case fault::Module::kFwd: break;
   }
-  return count(netlist::FwdNetlist(isa::CoreKind::kA).nl());
+  return netlist::FwdNetlist(a).nl();
+}
+
+u64 spec_unit_count(const ServeSpec& spec) {
+  if (spec.kind != "fault") return spec.runs;
+  return fault::sample_faults(fault_netlist(spec).fault_list(),
+                              std::max(1u, spec.stride))
+      .size();
 }
 
 std::vector<ShardPlan> plan_shards(u64 runs, unsigned workers,
@@ -206,17 +215,10 @@ int worker_main(const WorkerArgs& a) {
       }
     };
 
+    fault::CheckpointStats ckpt;
     if (a.spec.kind == "fault") {
       fault::CampaignConfig cc = fault_config(a.spec);
-      cc.threads = 1;  // process-level parallelism only
-      cc.unit_begin = a.begin;
-      cc.unit_end = a.end;
-      cc.checkpoint.dir = a.dir;
-      cc.checkpoint.interval = a.spec.checkpoint_interval;
-      cc.checkpoint.fsync = a.no_fsync ? fault::FsyncPolicy::kNone
-                                       : fault::FsyncPolicy::kEveryShard;
-      cc.checkpoint.resume = fault::checkpoint_present(cc.checkpoint);
-      cc.interrupt = &fault::global_interrupt();
+      shard_executor(a, cc);
       // The fault campaign reports progress in phase units (lane groups,
       // then faults) rather than per-run callbacks; beat once per completed
       // unit with the shard-relative ordinal so the supervisor's liveness,
@@ -233,25 +235,14 @@ int worker_main(const WorkerArgs& a) {
         for (; phase_done < p.done; ++phase_done)
           beat(a.begin + phase_done);
       };
-      fault::Campaign campaign(cc, fault_factory(a.spec));
-      const fault::CampaignResult r = campaign.run();
-      return r.ckpt.interrupted ? 3 : 0;
+      ckpt = fault::Campaign(cc, fault_factory(a.spec)).run().ckpt;
+    } else {
+      runtime::CampaignSpec cs = to_campaign_spec(a.spec);
+      shard_executor(a, cs);
+      cs.on_run_complete = [&beat](u64 run) { beat(run); };
+      ckpt = runtime::run_disturbance_campaign(cs).ckpt;
     }
-
-    runtime::CampaignSpec cs = to_campaign_spec(a.spec);
-    cs.threads = 1;  // process-level parallelism only; keeps workers preemptible
-    cs.unit_begin = a.begin;
-    cs.unit_end = a.end;
-    cs.checkpoint.dir = a.dir;
-    cs.checkpoint.interval = a.spec.checkpoint_interval;
-    cs.checkpoint.fsync =
-        a.no_fsync ? fault::FsyncPolicy::kNone : fault::FsyncPolicy::kEveryShard;
-    cs.checkpoint.resume = fault::checkpoint_present(cs.checkpoint);
-    cs.interrupt = &fault::global_interrupt();
-    cs.on_run_complete = [&beat](u64 run) { beat(run); };
-
-    const runtime::CampaignResult r = runtime::run_disturbance_campaign(cs);
-    return r.ckpt.interrupted ? 3 : 0;
+    return ckpt.interrupted ? 3 : 0;
   } catch (const fault::CheckpointMismatch& e) {
     std::fprintf(stderr, "stlserve worker: %s\n", e.what());
     return 2;
@@ -629,47 +620,34 @@ ServeResult run_campaign(const ServeSpec& spec, const ServeConfig& cfg) {
   // Post-hoc merge: load every shard journal; any unit no journal covers is
   // re-executed right here (the merge_dirs contract), so the result is
   // byte-identical to the single-process campaign.
+  const auto merge_into = [&](fault::ExecutorConfig& ex) {
+    for (const Shard& s : sup.shards) ex.merge_dirs.push_back(s.plan.dir);
+    ex.interrupt = &fault::global_interrupt();
+  };
+  fault::CheckpointStats ckpt;
   if (spec.kind == "fault") {
     fault::CampaignConfig mc = fault_config(spec);
-    for (const Shard& s : sup.shards) mc.merge_dirs.push_back(s.plan.dir);
-    mc.interrupt = &fault::global_interrupt();
-    fault::Campaign merge(mc, fault_factory(spec));
-    out.fault_result = merge.run();
-    if (out.fault_result.ckpt.interrupted) {
-      out.stats = sup.stats;
-      out.interrupted = true;
-      return out;
-    }
-    sup.stats.records_resumed = out.fault_result.ckpt.records_resumed;
-    sup.stats.shards_corrupt = out.fault_result.ckpt.shards_corrupt;
-    sup.stats.merge_reexecuted =
-        total_units >= out.fault_result.ckpt.records_resumed
-            ? total_units - out.fault_result.ckpt.records_resumed
-            : 0;
-    if (sup.stats.merge_reexecuted != 0)
-      sup.note("merge: %llu fault(s) had no journal record — re-simulated",
-               static_cast<unsigned long long>(sup.stats.merge_reexecuted));
-    out.stats = sup.stats;
-    return out;
+    merge_into(mc);
+    out.fault_result = fault::Campaign(mc, fault_factory(spec)).run();
+    ckpt = out.fault_result.ckpt;
+  } else {
+    runtime::CampaignSpec ms = to_campaign_spec(spec);
+    merge_into(ms);
+    out.result = runtime::run_disturbance_campaign(ms);
+    ckpt = out.result.ckpt;
   }
-
-  runtime::CampaignSpec ms = to_campaign_spec(spec);
-  for (const Shard& s : sup.shards) ms.merge_dirs.push_back(s.plan.dir);
-  ms.interrupt = &fault::global_interrupt();
-  out.result = runtime::run_disturbance_campaign(ms);
-  if (out.result.ckpt.interrupted) {
+  if (ckpt.interrupted) {
     out.stats = sup.stats;
     out.interrupted = true;
     return out;
   }
-  sup.stats.records_resumed = out.result.ckpt.records_resumed;
-  sup.stats.shards_corrupt = out.result.ckpt.shards_corrupt;
-  sup.stats.merge_reexecuted =
-      spec.runs >= out.result.ckpt.records_resumed
-          ? spec.runs - out.result.ckpt.records_resumed
-          : 0;
+  sup.stats.records_resumed = ckpt.records_resumed;
+  sup.stats.shards_corrupt = ckpt.shards_corrupt;
+  sup.stats.merge_reexecuted = total_units >= ckpt.records_resumed
+                                   ? total_units - ckpt.records_resumed
+                                   : 0;
   if (sup.stats.merge_reexecuted != 0)
-    sup.note("merge: %llu run(s) had no journal record — re-executed",
+    sup.note("merge: %llu unit(s) had no journal record — re-executed",
              static_cast<unsigned long long>(sup.stats.merge_reexecuted));
   out.stats = sup.stats;
   return out;

@@ -148,6 +148,10 @@ struct ServeResult {
   bool interrupted = false;  // supervisor drained; resume with --resume
 };
 
+/// The graded module's netlist of a kind "fault" spec (core kind A, as the
+/// shard workers grade it).
+netlist::Netlist fault_netlist(const ServeSpec& spec);
+
 /// The campaign's unit count for the spec's kind: spec.runs for
 /// "disturbance"; the sampled fault-list size (netlist construction only,
 /// nothing simulated) for "fault". What plan_shards partitions.

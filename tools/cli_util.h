@@ -1,7 +1,7 @@
 #pragma once
-// Strict CLI numeric parsing shared by the detstl tools (stlint, detscope,
-// stlrun). Malformed or out-of-range values are usage errors — reported on
-// stderr with exit code 2 — never silently clamped or ignored.
+// Strict CLI parsing shared by the detstl tools (stlint, detscope, stlrun,
+// stlserve). Malformed or out-of-range values are usage errors — reported
+// on stderr with exit code 2 — never silently clamped or ignored.
 //
 // Exit-code contract (all tools and table benches):
 //   0  completed successfully
@@ -34,6 +34,35 @@ inline constexpr int kExitInterrupted = 3;  // resumable; see contract above
 inline void print_version(const char* tool) {
   std::printf("%s (detstl %s, checkpoint schema %u)\n", tool,
               detstl::kDetstlVersion, fault::kCheckpointSchemaVersion);
+}
+
+/// Walk argv: `parse(option, need)` consumes one option, pulling its value
+/// with need() (a missing value exits 2), or returns false for an unknown
+/// one (usage on stderr, exit 2). --help/-h prints the usage to stdout.
+/// Returns an exit code when the command must stop here, -1 to run it.
+template <typename Parse>
+int parse_args(const char* tool, void (*usage)(std::FILE*), int argc,
+               char** argv, Parse parse) {
+  for (int i = 0; i < argc; ++i) {
+    const std::string a = argv[i];
+    auto need = [&]() -> std::string {
+      if (i + 1 >= argc) {
+        std::fprintf(stderr, "%s: %s requires a value\n", tool, a.c_str());
+        std::exit(kExitUsage);
+      }
+      return argv[++i];
+    };
+    if (a == "--help" || a == "-h") {
+      usage(stdout);
+      return kExitSuccess;
+    }
+    if (!parse(a, need)) {
+      std::fprintf(stderr, "%s: unknown option '%s'\n", tool, a.c_str());
+      usage(stderr);
+      return kExitUsage;
+    }
+  }
+  return -1;
 }
 
 /// Parse a decimal (or 0x-prefixed hex) unsigned integer in [lo, hi].

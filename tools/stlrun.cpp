@@ -124,89 +124,72 @@ bool require_seed(const char* cmd, bool seed_set, u64 seed) {
   return false;
 }
 
-int cmd_campaign(int argc, char** argv) {
-  CampaignSpec spec;
+/// Command-line state of the journalled commands (campaign, soak) beyond
+/// their spec.
+struct JournalledOpts {
   std::vector<unsigned> verify_threads;
   bool digest_only = false;
   bool seed_set = false;
   u64 interrupt_after = 0;
   unsigned timeout_s = 0;
-  std::string metrics_out;
+};
 
-  for (int i = 0; i < argc; ++i) {
-    const std::string a = argv[i];
-    auto need = [&]() -> std::string {
-      if (i + 1 >= argc) {
-        std::fprintf(stderr, "%s: %s requires a value\n", kTool, a.c_str());
-        std::exit(2);
-      }
-      return argv[++i];
-    };
-    if (a == "--seed") {
-      spec.seed = cli::require_u64(kTool, "--seed", need(), 0, ~0ull);
-      seed_set = true;
-    } else if (a == "--runs") {
-      spec.runs = cli::require_unsigned(kTool, "--runs", need(), 1, 100'000);
-    } else if (a == "--threads") {
-      spec.threads = cli::require_unsigned(kTool, "--threads", need(), 0, 256);
-    } else if (a == "--verify-threads") {
-      verify_threads =
-          cli::require_unsigned_list(kTool, "--verify-threads", need(), 1, 256);
-    } else if (a == "--cores") {
-      spec.cores = cli::require_unsigned(kTool, "--cores", need(), 1, 3);
-    } else if (a == "--routine") {
-      spec.routines.push_back(need());
-    } else if (a == "--events") {
-      spec.disturb.count = cli::require_unsigned(kTool, "--events", need(), 0, 1'000);
-    } else if (a == "--permanent") {
-      spec.disturb.permanent_chance =
-          cli::require_unsigned(kTool, "--permanent", need(), 0, 100) / 100.0;
-    } else if (a == "--stall") {
-      spec.disturb.stall_cycles =
-          cli::require_unsigned(kTool, "--stall", need(), 1, 100'000);
-    } else if (a == "--margin") {
-      spec.supervisor.margin_percent =
-          cli::require_unsigned(kTool, "--margin", need(), 0, 10'000);
-    } else if (a == "--attempts") {
-      spec.supervisor.max_attempts =
-          cli::require_unsigned(kTool, "--attempts", need(), 1, 16);
-    } else if (a == "--fallback-attempts") {
-      spec.supervisor.fallback_attempts =
-          cli::require_unsigned(kTool, "--fallback-attempts", need(), 0, 16);
-    } else if (a == "--digest-only") {
-      digest_only = true;
-    } else if (a == "--metrics-out") {
-      metrics_out = need();
-    } else if (a == "--checkpoint-dir") {
-      spec.checkpoint.dir = need();
-    } else if (a == "--checkpoint-interval") {
-      spec.checkpoint.interval = static_cast<u32>(
-          cli::require_u64(kTool, "--checkpoint-interval", need(), 1, 1'000'000));
-    } else if (a == "--resume") {
-      spec.checkpoint.resume = true;
-    } else if (a == "--no-fsync") {
-      spec.checkpoint.fsync = fault::FsyncPolicy::kNone;
-    } else if (a == "--interrupt-after") {
-      interrupt_after =
-          cli::require_u64(kTool, "--interrupt-after", need(), 1, ~0ull);
-    } else if (a == "--timeout") {
-      timeout_s = cli::require_unsigned(kTool, "--timeout", need(), 1, 86'400);
-    } else if (a == "--help" || a == "-h") {
-      usage(stdout);
-      return 0;
-    } else {
-      std::fprintf(stderr, "%s: unknown option '%s'\n", kTool, a.c_str());
-      usage(stderr);
-      return cli::kExitUsage;
-    }
+/// The options campaign and soak share: the seed/runs/cores/routines/margin
+/// fields both specs carry, plus the executor fields of fault::ExecutorConfig
+/// (threads and the checkpoint/resume group). False = not a shared option.
+template <typename Spec, typename Need>
+bool parse_journalled(const std::string& a, Need& need, Spec& spec,
+                      JournalledOpts& o) {
+  if (a == "--seed") {
+    spec.seed = cli::require_u64(kTool, "--seed", need(), 0, ~0ull);
+    o.seed_set = true;
+  } else if (a == "--runs") {
+    spec.runs = cli::require_unsigned(kTool, "--runs", need(), 1, 100'000);
+  } else if (a == "--threads") {
+    spec.threads = cli::require_unsigned(kTool, "--threads", need(), 0, 256);
+  } else if (a == "--verify-threads") {
+    o.verify_threads =
+        cli::require_unsigned_list(kTool, "--verify-threads", need(), 1, 256);
+  } else if (a == "--cores") {
+    spec.cores = cli::require_unsigned(kTool, "--cores", need(), 1, 3);
+  } else if (a == "--routine") {
+    spec.routines.push_back(need());
+  } else if (a == "--margin") {
+    spec.supervisor.margin_percent =
+        cli::require_unsigned(kTool, "--margin", need(), 0, 10'000);
+  } else if (a == "--digest-only") {
+    o.digest_only = true;
+  } else if (a == "--checkpoint-dir") {
+    spec.checkpoint.dir = need();
+  } else if (a == "--checkpoint-interval") {
+    spec.checkpoint.interval = static_cast<u32>(
+        cli::require_u64(kTool, "--checkpoint-interval", need(), 1, 1'000'000));
+  } else if (a == "--resume") {
+    spec.checkpoint.resume = true;
+  } else if (a == "--no-fsync") {
+    spec.checkpoint.fsync = fault::FsyncPolicy::kNone;
+  } else if (a == "--interrupt-after") {
+    o.interrupt_after =
+        cli::require_u64(kTool, "--interrupt-after", need(), 1, ~0ull);
+  } else if (a == "--timeout") {
+    o.timeout_s = cli::require_unsigned(kTool, "--timeout", need(), 1, 86'400);
+  } else {
+    return false;
   }
+  return true;
+}
 
-  if (!require_seed("campaign", seed_set, spec.seed)) return cli::kExitUsage;
-  if (spec.checkpoint.resume && !spec.checkpoint.enabled()) {
+/// Validate the shared options and arm the drain machinery (signal
+/// handlers, --interrupt-after, --timeout). Returns an exit code on a usage
+/// error, -1 to run.
+int prepare_journalled(const char* cmd, const JournalledOpts& o, u64 seed,
+                       fault::ExecutorConfig& ex) {
+  if (!require_seed(cmd, o.seed_set, seed)) return cli::kExitUsage;
+  if (ex.checkpoint.resume && !ex.checkpoint.enabled()) {
     std::fprintf(stderr, "%s: --resume requires --checkpoint-dir\n", kTool);
     return cli::kExitUsage;
   }
-  if (spec.checkpoint.enabled() && !verify_threads.empty()) {
+  if (ex.checkpoint.enabled() && !o.verify_threads.empty()) {
     // The verify loop runs the same campaign several times; sharing one
     // journal across them would make every pass after the first a no-op.
     std::fprintf(stderr,
@@ -214,16 +197,127 @@ int cmd_campaign(int argc, char** argv) {
                  "--verify-threads\n", kTool);
     return cli::kExitUsage;
   }
-
-  if (spec.checkpoint.enabled() || interrupt_after != 0 || timeout_s != 0) {
-    spec.interrupt = &fault::global_interrupt();
-    spec.interrupt->clear();
-    if (interrupt_after != 0) spec.interrupt->arm_after(interrupt_after);
+  if (ex.checkpoint.enabled() || o.interrupt_after != 0 || o.timeout_s != 0) {
+    ex.interrupt = &fault::global_interrupt();
+    ex.interrupt->clear();
+    if (o.interrupt_after != 0) ex.interrupt->arm_after(o.interrupt_after);
     fault::install_drain_handlers();
-    if (timeout_s != 0) fault::arm_wallclock_timeout(timeout_s);
+    if (o.timeout_s != 0) fault::arm_wallclock_timeout(o.timeout_s);
   }
+  return -1;
+}
 
-  if (!verify_threads.empty() && !metrics_out.empty()) {
+/// Checkpoint summary and interrupted exit of one journalled run, then its
+/// report (or digest line) on stdout. Returns an exit code when the run was
+/// drained, -1 when it completed.
+template <typename Result, typename Render>
+int print_journalled(const fault::ExecutorConfig& ex, const Result& res,
+                     bool digest_only, Render render) {
+  if (res.ckpt.enabled)
+    std::fprintf(stderr,
+                 "%s: checkpoint: %u shard(s) loaded, %llu run(s) resumed, "
+                 "%u corrupt shard(s) quarantined, %u shard(s) flushed\n",
+                 kTool, res.ckpt.shards_loaded,
+                 static_cast<unsigned long long>(res.ckpt.records_resumed),
+                 res.ckpt.shards_corrupt, res.ckpt.shards_flushed);
+  if (res.ckpt.interrupted) {
+    std::size_t completed = 0;  // resumed + finished this session
+    for (const auto& r : res.records) completed += r.seed != 0 ? 1 : 0;
+    if (ex.checkpoint.enabled())
+      std::fprintf(stderr,
+                   "%s: interrupted after %zu/%u run(s); resume with "
+                   "--checkpoint-dir %s --resume\n",
+                   kTool, completed, res.runs, ex.checkpoint.dir.c_str());
+    else
+      std::fprintf(stderr,
+                   "%s: interrupted after %zu/%u run(s); add "
+                   "--checkpoint-dir to make such runs resumable\n",
+                   kTool, completed, res.runs);
+    return cli::kExitInterrupted;
+  }
+  if (digest_only)
+    std::printf("outcome digest: %s\n",
+                TextTable::fmt_hex(res.digest()).c_str());
+  else
+    std::fputs(render(res).c_str(), stdout);
+  return -1;
+}
+
+/// Determinism self-check: the same spec at each requested thread count
+/// must produce byte-identical outcome vectors (and therefore reports).
+template <typename Spec, typename Run, typename Render>
+int verify_journalled(const Spec& spec, const JournalledOpts& o, Run run,
+                      Render render) {
+  std::vector<u8> reference;
+  std::string reference_report;
+  for (std::size_t t = 0; t < o.verify_threads.size(); ++t) {
+    Spec s = spec;
+    s.threads = o.verify_threads[t];
+    const auto res = run(s);
+    std::fprintf(stderr, "%s: threads=%u digest=%s (%.2fs)\n", kTool,
+                 res.threads_used, TextTable::fmt_hex(res.digest()).c_str(),
+                 res.wall_seconds);
+    if (t == 0) {
+      reference = res.outcome_vector();
+      reference_report = render(res);
+      continue;
+    }
+    if (res.outcome_vector() != reference || render(res) != reference_report) {
+      std::fprintf(stderr,
+                   "%s: DETERMINISM VIOLATION: threads=%u diverges from "
+                   "threads=%u\n",
+                   kTool, o.verify_threads[t], o.verify_threads[0]);
+      return 1;
+    }
+  }
+  const u64 digest = fault::fnv1a(reference.data(), reference.size());
+  if (o.digest_only)  // digest of the verified reference vector
+    std::printf("outcome digest: %s\n", TextTable::fmt_hex(digest).c_str());
+  else
+    std::fputs(reference_report.c_str(), stdout);
+  std::string counts;
+  for (std::size_t t = 0; t < o.verify_threads.size(); ++t)
+    counts += (t == 0 ? "" : ",") + std::to_string(o.verify_threads[t]);
+  std::printf("determinism: outcome vector byte-identical across threads {%s}\n",
+              counts.c_str());
+  return 0;
+}
+
+int cmd_campaign(int argc, char** argv) {
+  CampaignSpec spec;
+  JournalledOpts o;
+  std::string metrics_out;
+
+  const auto parse = [&](const std::string& a, auto& need) {
+    if (a == "--events") {
+      spec.disturb.count =
+          cli::require_unsigned(kTool, "--events", need(), 0, 1'000);
+    } else if (a == "--permanent") {
+      spec.disturb.permanent_chance =
+          cli::require_unsigned(kTool, "--permanent", need(), 0, 100) / 100.0;
+    } else if (a == "--stall") {
+      spec.disturb.stall_cycles =
+          cli::require_unsigned(kTool, "--stall", need(), 1, 100'000);
+    } else if (a == "--attempts") {
+      spec.supervisor.max_attempts =
+          cli::require_unsigned(kTool, "--attempts", need(), 1, 16);
+    } else if (a == "--fallback-attempts") {
+      spec.supervisor.fallback_attempts =
+          cli::require_unsigned(kTool, "--fallback-attempts", need(), 0, 16);
+    } else if (a == "--metrics-out") {
+      metrics_out = need();
+    } else {
+      return parse_journalled(a, need, spec, o);
+    }
+    return true;
+  };
+  if (const int rc = cli::parse_args(kTool, usage, argc, argv, parse); rc >= 0)
+    return rc;
+  if (const int rc = prepare_journalled("campaign", o, spec.seed, spec);
+      rc >= 0)
+    return rc;
+
+  if (!o.verify_threads.empty() && !metrics_out.empty()) {
     // The verify loop runs the campaign several times; one report could not
     // say which pass it measured.
     std::fprintf(stderr,
@@ -231,162 +325,74 @@ int cmd_campaign(int argc, char** argv) {
                  kTool);
     return cli::kExitUsage;
   }
+  const auto run = [](const CampaignSpec& s) {
+    return run_disturbance_campaign(s);
+  };
+  if (!o.verify_threads.empty())
+    return verify_journalled(spec, o, run, render_recovery_report);
 
-  if (verify_threads.empty()) {
-    const perf::SimSnapshot sim_before = perf::sim_totals().snapshot();
-    perf::HostTimer host_timer;
-    const CampaignResult res = run_disturbance_campaign(spec);
-    if (res.ckpt.enabled)
-      std::fprintf(stderr,
-                   "%s: checkpoint: %u shard(s) loaded, %llu run(s) resumed, "
-                   "%u corrupt shard(s) quarantined, %u shard(s) flushed\n",
-                   kTool, res.ckpt.shards_loaded,
-                   static_cast<unsigned long long>(res.ckpt.records_resumed),
-                   res.ckpt.shards_corrupt, res.ckpt.shards_flushed);
-    if (res.ckpt.interrupted) {
-      std::size_t completed = 0;  // resumed + finished this session
-      for (const RunRecord& r : res.records) completed += r.seed != 0 ? 1 : 0;
-      if (spec.checkpoint.enabled())
-        std::fprintf(stderr,
-                     "%s: interrupted after %zu/%u run(s); resume with "
-                     "--checkpoint-dir %s --resume\n",
-                     kTool, completed, res.runs, spec.checkpoint.dir.c_str());
-      else
-        std::fprintf(stderr,
-                     "%s: interrupted after %zu/%u run(s); add "
-                     "--checkpoint-dir to make such runs resumable\n",
-                     kTool, completed, res.runs);
-      return cli::kExitInterrupted;
+  const perf::SimSnapshot sim_before = perf::sim_totals().snapshot();
+  perf::HostTimer host_timer;
+  const CampaignResult res = run(spec);
+  if (const int rc =
+          print_journalled(spec, res, o.digest_only, render_recovery_report);
+      rc >= 0)
+    return rc;
+  // Host timings go to stderr only: the stdout report is diffed across
+  // thread counts and straight-vs-resumed runs by the CI drills.
+  const perf::SimSnapshot sim_delta =
+      perf::sim_totals().snapshot().since(sim_before);
+  const perf::HostUsage host = host_timer.sample();
+  const double sim_mhz = host.wall_s > 0.0
+                             ? static_cast<double>(sim_delta.sim_cycles()) /
+                                   host.wall_s / 1e6
+                             : 0.0;
+  std::fprintf(stderr,
+               "%s: %u runs on %u thread(s) in %.2fs | %.1f Mcycles simulated, "
+               "%.2f sim-MHz, peak RSS %ld KiB\n",
+               kTool, res.runs, res.threads_used, res.wall_seconds,
+               static_cast<double>(sim_delta.sim_cycles()) / 1e6, sim_mhz,
+               perf::peak_rss_kb());
+  if (!metrics_out.empty()) {
+    perf::PerfReport rep;
+    rep.name = "stlrun-campaign";
+    rep.detstl_version = kDetstlVersion;
+    fault::ConfigHasher hash;
+    hash.str("stlrun-campaign").u64v(spec.seed).u32v(spec.runs).u32v(spec.cores);
+    for (const auto& r : spec.routines) hash.str(r);
+    hash.u32v(spec.disturb.count);
+    hash.f64v(spec.disturb.permanent_chance);
+    hash.u32v(spec.disturb.stall_cycles);
+    hash.u32v(spec.supervisor.margin_percent);
+    hash.u32v(spec.supervisor.max_attempts);
+    hash.u32v(spec.supervisor.fallback_attempts);
+    rep.config_hash = hash.digest();
+    rep.sim_cycles = sim_delta.sim_cycles();
+    rep.sim_units = sim_delta.units();
+    rep.phases.push_back(
+        {"campaign", sim_delta.sim_cycles(), sim_delta.units(), host.wall_s});
+    rep.wall_s = host.wall_s;
+    rep.cpu_s = host.cpu_s;
+    rep.peak_rss_kb = host.peak_rss_kb;
+    perf::collect_disturbance_result(rep.metrics, res, "");
+    perf::collect_sim_totals(rep.metrics, sim_delta);
+    perf::collect_host_usage(rep.metrics, host);
+    if (!perf::write_report_file(metrics_out, rep)) {
+      std::fprintf(stderr, "%s: cannot write %s\n", kTool, metrics_out.c_str());
+      return cli::kExitFailure;
     }
-    if (digest_only)
-      std::printf("outcome digest: %s\n", TextTable::fmt_hex(res.digest()).c_str());
-    else
-      std::fputs(render_recovery_report(res).c_str(), stdout);
-    // Host timings go to stderr only: the stdout report is diffed across
-    // thread counts and straight-vs-resumed runs by the CI drills.
-    const perf::SimSnapshot sim_delta =
-        perf::sim_totals().snapshot().since(sim_before);
-    const perf::HostUsage host = host_timer.sample();
-    const double sim_mhz = host.wall_s > 0.0
-                               ? static_cast<double>(sim_delta.sim_cycles()) /
-                                     host.wall_s / 1e6
-                               : 0.0;
-    std::fprintf(stderr,
-                 "%s: %u runs on %u thread(s) in %.2fs | %.1f Mcycles simulated, "
-                 "%.2f sim-MHz, peak RSS %ld KiB\n",
-                 kTool, res.runs, res.threads_used, res.wall_seconds,
-                 static_cast<double>(sim_delta.sim_cycles()) / 1e6, sim_mhz,
-                 perf::peak_rss_kb());
-    if (!metrics_out.empty()) {
-      perf::PerfReport rep;
-      rep.name = "stlrun-campaign";
-      rep.detstl_version = kDetstlVersion;
-      fault::ConfigHasher hash;
-      hash.str("stlrun-campaign").u64v(spec.seed).u32v(spec.runs).u32v(spec.cores);
-      for (const auto& r : spec.routines) hash.str(r);
-      hash.u32v(spec.disturb.count);
-      hash.f64v(spec.disturb.permanent_chance);
-      hash.u32v(spec.disturb.stall_cycles);
-      hash.u32v(spec.supervisor.margin_percent);
-      hash.u32v(spec.supervisor.max_attempts);
-      hash.u32v(spec.supervisor.fallback_attempts);
-      rep.config_hash = hash.digest();
-      rep.sim_cycles = sim_delta.sim_cycles();
-      rep.sim_units = sim_delta.units();
-      rep.phases.push_back(
-          {"campaign", sim_delta.sim_cycles(), sim_delta.units(), host.wall_s});
-      rep.wall_s = host.wall_s;
-      rep.cpu_s = host.cpu_s;
-      rep.peak_rss_kb = host.peak_rss_kb;
-      perf::collect_disturbance_result(rep.metrics, res, "");
-      perf::collect_sim_totals(rep.metrics, sim_delta);
-      perf::collect_host_usage(rep.metrics, host);
-      if (!perf::write_report_file(metrics_out, rep)) {
-        std::fprintf(stderr, "%s: cannot write %s\n", kTool, metrics_out.c_str());
-        return cli::kExitFailure;
-      }
-      std::fprintf(stderr, "%s: stlperf report written to %s\n", kTool,
-                   metrics_out.c_str());
-    }
-    return cli::kExitSuccess;
+    std::fprintf(stderr, "%s: stlperf report written to %s\n", kTool,
+                 metrics_out.c_str());
   }
-
-  // Determinism self-check: same spec at each requested thread count must
-  // produce byte-identical outcome vectors (and therefore reports).
-  std::vector<u8> reference;
-  std::string reference_report;
-  for (std::size_t t = 0; t < verify_threads.size(); ++t) {
-    CampaignSpec s = spec;
-    s.threads = verify_threads[t];
-    const CampaignResult res = run_disturbance_campaign(s);
-    std::fprintf(stderr, "%s: threads=%u digest=%s (%.2fs)\n", kTool,
-                 res.threads_used, TextTable::fmt_hex(res.digest()).c_str(),
-                 res.wall_seconds);
-    if (t == 0) {
-      reference = res.outcome_vector();
-      reference_report = render_recovery_report(res);
-      continue;
-    }
-    if (res.outcome_vector() != reference ||
-        render_recovery_report(res) != reference_report) {
-      std::fprintf(stderr,
-                   "%s: DETERMINISM VIOLATION: threads=%u diverges from "
-                   "threads=%u\n",
-                   kTool, verify_threads[t], verify_threads[0]);
-      return 1;
-    }
-  }
-  if (digest_only) {
-    // Digest of the verified reference vector.
-    u64 h = 0xcbf29ce484222325ull;
-    for (const u8 b : reference) {
-      h ^= b;
-      h *= 0x100000001b3ull;
-    }
-    std::printf("outcome digest: %s\n", TextTable::fmt_hex(h).c_str());
-  } else {
-    std::fputs(reference_report.c_str(), stdout);
-  }
-  std::string counts;
-  for (std::size_t t = 0; t < verify_threads.size(); ++t)
-    counts += (t == 0 ? "" : ",") + std::to_string(verify_threads[t]);
-  std::printf("determinism: outcome vector byte-identical across threads {%s}\n",
-              counts.c_str());
-  return 0;
+  return cli::kExitSuccess;
 }
 
 int cmd_soak(int argc, char** argv) {
   SoakCampaignSpec spec;
-  std::vector<unsigned> verify_threads;
-  bool digest_only = false;
-  bool seed_set = false;
-  u64 interrupt_after = 0;
-  unsigned timeout_s = 0;
+  JournalledOpts o;
 
-  for (int i = 0; i < argc; ++i) {
-    const std::string a = argv[i];
-    auto need = [&]() -> std::string {
-      if (i + 1 >= argc) {
-        std::fprintf(stderr, "%s: %s requires a value\n", kTool, a.c_str());
-        std::exit(2);
-      }
-      return argv[++i];
-    };
-    if (a == "--seed") {
-      spec.seed = cli::require_u64(kTool, "--seed", need(), 0, ~0ull);
-      seed_set = true;
-    } else if (a == "--runs") {
-      spec.runs = cli::require_unsigned(kTool, "--runs", need(), 1, 100'000);
-    } else if (a == "--threads") {
-      spec.threads = cli::require_unsigned(kTool, "--threads", need(), 0, 256);
-    } else if (a == "--verify-threads") {
-      verify_threads =
-          cli::require_unsigned_list(kTool, "--verify-threads", need(), 1, 256);
-    } else if (a == "--cores") {
-      spec.cores = cli::require_unsigned(kTool, "--cores", need(), 1, 3);
-    } else if (a == "--routine") {
-      spec.routines.push_back(need());
-    } else if (a == "--duration") {
+  const auto parse = [&](const std::string& a, auto& need) {
+    if (a == "--duration") {
       spec.soak.duration = cli::require_u64(kTool, "--duration", need(), 0, 1'000'000'000);
     } else if (a == "--rate-ram") {
       spec.soak.rates.ram = cli::require_unsigned(kTool, "--rate-ram", need(), 0, 1'000'000);
@@ -399,140 +405,33 @@ int cmd_soak(int argc, char** argv) {
           cli::require_unsigned(kTool, "--rate-pipe", need(), 0, 1'000'000);
     } else if (a == "--no-isolate") {
       spec.isolate = false;
-    } else if (a == "--margin") {
-      spec.supervisor.margin_percent =
-          cli::require_unsigned(kTool, "--margin", need(), 0, 10'000);
-    } else if (a == "--digest-only") {
-      digest_only = true;
-    } else if (a == "--checkpoint-dir") {
-      spec.checkpoint.dir = need();
-    } else if (a == "--checkpoint-interval") {
-      spec.checkpoint.interval = static_cast<u32>(
-          cli::require_u64(kTool, "--checkpoint-interval", need(), 1, 1'000'000));
-    } else if (a == "--resume") {
-      spec.checkpoint.resume = true;
-    } else if (a == "--no-fsync") {
-      spec.checkpoint.fsync = fault::FsyncPolicy::kNone;
-    } else if (a == "--interrupt-after") {
-      interrupt_after = cli::require_u64(kTool, "--interrupt-after", need(), 1, ~0ull);
-    } else if (a == "--timeout") {
-      timeout_s = cli::require_unsigned(kTool, "--timeout", need(), 1, 86'400);
-    } else if (a == "--help" || a == "-h") {
-      usage(stdout);
-      return 0;
     } else {
-      std::fprintf(stderr, "%s: unknown option '%s'\n", kTool, a.c_str());
-      usage(stderr);
-      return cli::kExitUsage;
+      return parse_journalled(a, need, spec, o);
     }
-  }
+    return true;
+  };
+  if (const int rc = cli::parse_args(kTool, usage, argc, argv, parse); rc >= 0)
+    return rc;
+  if (const int rc = prepare_journalled("soak", o, spec.seed, spec); rc >= 0)
+    return rc;
 
-  if (!require_seed("soak", seed_set, spec.seed)) return cli::kExitUsage;
-  if (spec.checkpoint.resume && !spec.checkpoint.enabled()) {
-    std::fprintf(stderr, "%s: --resume requires --checkpoint-dir\n", kTool);
-    return cli::kExitUsage;
-  }
-  if (spec.checkpoint.enabled() && !verify_threads.empty()) {
-    std::fprintf(stderr,
-                 "%s: --checkpoint-dir cannot be combined with --verify-threads\n",
-                 kTool);
-    return cli::kExitUsage;
-  }
-
-  if (spec.checkpoint.enabled() || interrupt_after != 0 || timeout_s != 0) {
-    spec.interrupt = &fault::global_interrupt();
-    spec.interrupt->clear();
-    if (interrupt_after != 0) spec.interrupt->arm_after(interrupt_after);
-    fault::install_drain_handlers();
-    if (timeout_s != 0) fault::arm_wallclock_timeout(timeout_s);
-  }
-
-  if (verify_threads.empty()) {
-    const SoakCampaignResult res = run_soak_campaign(spec);
-    if (res.ckpt.enabled)
-      std::fprintf(stderr,
-                   "%s: checkpoint: %u shard(s) loaded, %llu run(s) resumed, "
-                   "%u corrupt shard(s) quarantined, %u shard(s) flushed\n",
-                   kTool, res.ckpt.shards_loaded,
-                   static_cast<unsigned long long>(res.ckpt.records_resumed),
-                   res.ckpt.shards_corrupt, res.ckpt.shards_flushed);
-    if (res.ckpt.interrupted) {
-      std::size_t completed = 0;
-      for (const SoakRunRecord& r : res.records) completed += r.seed != 0 ? 1 : 0;
-      if (spec.checkpoint.enabled())
-        std::fprintf(stderr,
-                     "%s: interrupted after %zu/%u run(s); resume with "
-                     "--checkpoint-dir %s --resume\n",
-                     kTool, completed, res.runs, spec.checkpoint.dir.c_str());
-      else
-        std::fprintf(stderr,
-                     "%s: interrupted after %zu/%u run(s); add "
-                     "--checkpoint-dir to make such runs resumable\n",
-                     kTool, completed, res.runs);
-      return cli::kExitInterrupted;
-    }
-    if (digest_only)
-      std::printf("outcome digest: %s\n", TextTable::fmt_hex(res.digest()).c_str());
-    else
-      std::fputs(render_soak_report(res).c_str(), stdout);
-    std::fprintf(stderr, "%s: %u soak run(s) on %u thread(s) in %.2fs\n", kTool,
-                 res.runs, res.threads_used, res.wall_seconds);
-    return cli::kExitSuccess;
-  }
-
-  std::vector<u8> reference;
-  std::string reference_report;
-  for (std::size_t t = 0; t < verify_threads.size(); ++t) {
-    SoakCampaignSpec s = spec;
-    s.threads = verify_threads[t];
-    const SoakCampaignResult res = run_soak_campaign(s);
-    std::fprintf(stderr, "%s: threads=%u digest=%s (%.2fs)\n", kTool,
-                 res.threads_used, TextTable::fmt_hex(res.digest()).c_str(),
-                 res.wall_seconds);
-    if (t == 0) {
-      reference = res.outcome_vector();
-      reference_report = render_soak_report(res);
-      continue;
-    }
-    if (res.outcome_vector() != reference ||
-        render_soak_report(res) != reference_report) {
-      std::fprintf(stderr,
-                   "%s: DETERMINISM VIOLATION: threads=%u diverges from threads=%u\n",
-                   kTool, verify_threads[t], verify_threads[0]);
-      return 1;
-    }
-  }
-  if (digest_only) {
-    u64 h = 0xcbf29ce484222325ull;
-    for (const u8 b : reference) {
-      h ^= b;
-      h *= 0x100000001b3ull;
-    }
-    std::printf("outcome digest: %s\n", TextTable::fmt_hex(h).c_str());
-  } else {
-    std::fputs(reference_report.c_str(), stdout);
-  }
-  std::string counts;
-  for (std::size_t t = 0; t < verify_threads.size(); ++t)
-    counts += (t == 0 ? "" : ",") + std::to_string(verify_threads[t]);
-  std::printf("determinism: outcome vector byte-identical across threads {%s}\n",
-              counts.c_str());
-  return 0;
+  if (!o.verify_threads.empty())
+    return verify_journalled(spec, o, run_soak_campaign, render_soak_report);
+  const SoakCampaignResult res = run_soak_campaign(spec);
+  if (const int rc =
+          print_journalled(spec, res, o.digest_only, render_soak_report);
+      rc >= 0)
+    return rc;
+  std::fprintf(stderr, "%s: %u soak run(s) on %u thread(s) in %.2fs\n", kTool,
+               res.runs, res.threads_used, res.wall_seconds);
+  return cli::kExitSuccess;
 }
 
 int cmd_mission(int argc, char** argv) {
   MissionSpec spec;
   bool seed_set = false;
 
-  for (int i = 0; i < argc; ++i) {
-    const std::string a = argv[i];
-    auto need = [&]() -> std::string {
-      if (i + 1 >= argc) {
-        std::fprintf(stderr, "%s: %s requires a value\n", kTool, a.c_str());
-        std::exit(2);
-      }
-      return argv[++i];
-    };
+  const auto parse = [&](const std::string& a, auto& need) {
     if (a == "--seed") {
       spec.seed = cli::require_u64(kTool, "--seed", need(), 0, ~0ull);
       seed_set = true;
@@ -547,15 +446,13 @@ int cmd_mission(int argc, char** argv) {
     } else if (a == "--margin") {
       spec.supervisor.margin_percent =
           cli::require_unsigned(kTool, "--margin", need(), 0, 10'000);
-    } else if (a == "--help" || a == "-h") {
-      usage(stdout);
-      return 0;
     } else {
-      std::fprintf(stderr, "%s: unknown option '%s'\n", kTool, a.c_str());
-      usage(stderr);
-      return cli::kExitUsage;
+      return false;
     }
-  }
+    return true;
+  };
+  if (const int rc = cli::parse_args(kTool, usage, argc, argv, parse); rc >= 0)
+    return rc;
 
   if (!require_seed("mission", seed_set, spec.seed)) return cli::kExitUsage;
   const MissionResult res = run_mission(spec);

@@ -22,7 +22,6 @@
 #include "cli_util.h"
 #include "common/table.h"
 #include "fault/report.h"
-#include "netlist/modules.h"
 #include "serve/serve.h"
 
 namespace {
@@ -117,16 +116,9 @@ serve::ChaosRule parse_chaos(const std::string& text) {
 /// against the graded module's netlist (same kind the campaign used).
 std::string render_fault_report(const serve::ServeSpec& spec,
                                 const fault::CampaignResult& r) {
-  const auto render = [&](const netlist::Netlist& nl) {
-    return fault::render_report(
-        fault::make_report(r, nl, std::max(1u, spec.stride)),
-        "stlserve fault campaign (" + spec.module + ")");
-  };
-  if (spec.module == "hdcu")
-    return render(netlist::HdcuNetlist(isa::CoreKind::kA).nl());
-  if (spec.module == "icu")
-    return render(netlist::IcuNetlist(isa::CoreKind::kA).nl());
-  return render(netlist::FwdNetlist(isa::CoreKind::kA).nl());
+  return fault::render_report(fault::make_report(r, serve::fault_netlist(spec),
+                                                 std::max(1u, spec.stride)),
+                              "stlserve fault campaign (" + spec.module + ")");
 }
 
 serve::ServeSpec load_spec(const std::string& path) {
@@ -145,15 +137,7 @@ int cmd_run(int argc, char** argv, const char* argv0) {
   bool fork_workers = false;
   bool digest_only = false;
 
-  for (int i = 0; i < argc; ++i) {
-    const std::string a = argv[i];
-    auto need = [&]() -> std::string {
-      if (i + 1 >= argc) {
-        std::fprintf(stderr, "%s: %s requires a value\n", kTool, a.c_str());
-        std::exit(2);
-      }
-      return argv[++i];
-    };
+  const auto parse = [&](const std::string& a, auto& need) {
     if (a == "--spec") {
       spec_path = need();
     } else if (a == "--dir") {
@@ -189,15 +173,13 @@ int cmd_run(int argc, char** argv, const char* argv0) {
       digest_only = true;
     } else if (a == "--quiet") {
       cfg.quiet = true;
-    } else if (a == "--help" || a == "-h") {
-      usage(stdout);
-      return 0;
     } else {
-      std::fprintf(stderr, "%s: unknown option '%s'\n", kTool, a.c_str());
-      usage(stderr);
-      return cli::kExitUsage;
+      return false;
     }
-  }
+    return true;
+  };
+  if (const int rc = cli::parse_args(kTool, usage, argc, argv, parse); rc >= 0)
+    return rc;
 
   if (cfg.work_dir.empty()) {
     std::fprintf(stderr, "%s: run requires --dir\n", kTool);
