@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <stdexcept>
 #include <vector>
 
 #include "runtime/campaign.h"
@@ -409,6 +410,21 @@ TEST(Campaign, CheckpointConfigHashExcludesExecutionKnobs) {
   // A different schedule plan (different routine image) must re-key.
   const SchedulePlan plan2 = plan_schedule(routines({"alu"}), 2);
   EXPECT_NE(checkpoint_config_hash(spec, plan2), base);
+}
+
+TEST(Campaign, WorkerExceptionSurfacesAsRuntimeError) {
+  // A throwing per-run hook on a pool worker must reach the caller once the
+  // pool has joined, not terminate the process.
+  CampaignSpec spec;
+  spec.seed = 0xE7C0001;
+  spec.runs = 8;
+  spec.threads = 4;
+  spec.cores = 1;
+  spec.routines = {"alu"};
+  spec.on_run_complete = [](u64 run) {
+    if (run == 2) throw std::runtime_error("hook failed");
+  };
+  EXPECT_THROW(run_disturbance_campaign(spec), std::runtime_error);
 }
 
 TEST(Campaign, RunSeedsAreDecorrelatedAndStable) {

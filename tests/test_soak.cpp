@@ -9,6 +9,7 @@
 
 #include <filesystem>
 #include <memory>
+#include <stdexcept>
 #include <vector>
 
 #include "runtime/mission.h"
@@ -260,6 +261,18 @@ TEST(SoakCampaign, ConfigHashCoversSoakKnobsButNotThreads) {
   SoakCampaignSpec iso = spec;
   iso.isolate = false;
   EXPECT_NE(soak_checkpoint_config_hash(iso, plan), base);
+}
+
+TEST(SoakCampaign, WorkerExceptionSurfacesAsRuntimeError) {
+  // Same pool as every journalled campaign: a throwing per-run hook on a
+  // worker thread is rethrown to the caller after the join.
+  SoakCampaignSpec spec = small_spec();
+  spec.runs = 8;
+  spec.threads = 4;
+  spec.on_run_complete = [](u64 run) {
+    if (run == 2) throw std::runtime_error("hook failed");
+  };
+  EXPECT_THROW(run_soak_campaign(spec), std::runtime_error);
 }
 
 TEST(Mission, DeterministicGoldenSignaturesWithinBound) {
