@@ -197,10 +197,14 @@ class ProgressTracker {
 std::vector<u8> CampaignResult::canonical_bytes() const {
   std::vector<u8> out;
   out.reserve(10 * 8 + outcomes.size());
-  for (const u64 v : {total_faults, simulated_faults, excited, detected,
-                      detected_signature, detected_verdict, detected_watchdog,
-                      good_cycles})
-    put64(out, v);
+  put64(out, total_faults);
+  put64(out, simulated_faults);
+  put64(out, excited);
+  put64(out, detected);
+  put64(out, detected_signature);
+  put64(out, detected_verdict);
+  put64(out, detected_watchdog);
+  put64(out, good_cycles);
   put32(out, good_verdict.status);
   put32(out, good_verdict.signature);
   put64(out, outcomes.size());

@@ -13,7 +13,6 @@
 // Aggregates are the engine's business, derived from its slots after run()
 // joins, so scheduling order never leaks into a result.
 
-#include <algorithm>
 #include <functional>
 #include <optional>
 #include <string>
@@ -76,13 +75,9 @@ class UnitKernel {
   /// writer and mark the done units. `who` prefixes error messages.
   UnitKernel(const ExecutorConfig& ex, UnitJournal journal, const char* who);
 
-  /// Resolved thread count (ExecutorConfig::threads == 0 case).
+  /// Resolved thread count (ExecutorConfig::threads == 0 case); the pool
+  /// never runs more workers than there are units.
   unsigned threads() const { return threads_; }
-  /// Workers run() uses: threads() capped at the unit count.
-  unsigned workers() const {
-    return static_cast<unsigned>(
-        std::min<u64>(threads_, std::max<u64>(1, journal_.units)));
-  }
   /// Done before run(): resumed, merged or outside the shard range.
   const std::vector<u8>& done() const { return done_; }
   bool stop_requested() const {

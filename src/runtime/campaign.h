@@ -7,6 +7,7 @@
 // pre-sized vector and every aggregate is derived from that vector after the
 // join, so scheduling order can never leak into the output.
 
+#include <algorithm>
 #include <functional>
 #include <string>
 #include <vector>
@@ -132,7 +133,7 @@ void run_journalled(const Spec& spec, fault::PayloadKind kind,
           .encode = [&](u64 i) { return encode(res.records[i]); },
       },
       who);
-  res.threads_used = kernel.workers();
+  res.threads_used = std::min(kernel.threads(), std::max(1u, spec.runs));
   res.ckpt = kernel.run(
       1, [&](u64 i) { res.records[i] = run(seed_of(i)); },
       [&](unsigned, u64 i) {

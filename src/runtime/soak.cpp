@@ -215,10 +215,6 @@ SoakRunRecord run_soak_once(const SchedulePlan& sp, const SoakCampaignSpec& spec
   return rec;
 }
 
-}  // namespace
-
-namespace {
-
 /// The soak-specific tail of a record — upset stats and the isolation
 /// verdict — identical in the journal payload and the outcome vector.
 void put_soak_tail(std::vector<u8>& out, const SoakRunRecord& rec) {
