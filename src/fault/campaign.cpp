@@ -297,8 +297,9 @@ CampaignResult Campaign::run() {
   // The manifest hash binds the on-disk journal to this exact campaign:
   // netlist identity + routine image + every outcome-relevant config field.
   // The factory's SoC serves both the fingerprint and the good run below.
-  // A record is one FaultOutcome byte; malformed ones are dropped (those
-  // faults simply re-execute).
+  // A record is one FaultOutcome byte. Faults of another shard keep the
+  // kNotExcited placeholder; screening skips lane groups the kernel marks
+  // wholly done.
   soc::Soc good = factory_();
   UnitKernel kernel(
       cfg_,

@@ -99,7 +99,9 @@ void UnitKernel::accept(const LoadedCheckpoint& loaded) {
   stats_.shards_loaded += loaded.shards_loaded;
   stats_.shards_corrupt += loaded.shards_corrupt;
   // Out-of-range indices and rejected payloads are dropped (those units
-  // simply run again); a later record of the same unit wins.
+  // simply run again) — the hash-verified manifest makes them unreachable
+  // short of corruption the shard checksums already screen for. A later
+  // record of the same unit wins.
   for (const ShardRecord& r : loaded.records) {
     if (r.index >= journal_.units || !journal_.decode(r.index, r.payload))
       continue;
