@@ -2,7 +2,6 @@
 
 #include <cassert>
 
-#include "isa/disasm.h"
 #include "perf/profiler.h"
 
 namespace detstl::cpu {
@@ -35,6 +34,7 @@ void Cpu::reset(u32 boot_pc) {
   icu_ack_ = false;
   icu_out_ = IcuOut{};
   phase_.reset();
+  issued_ = 0;
 }
 
 // -----------------------------------------------------------------------------
@@ -79,6 +79,15 @@ bool Cpu::pipeline_empty() const {
          !memwb_[0].valid && !memwb_[1].valid && div_busy_ == 0;
 }
 
+trace::Event Cpu::stage_event(trace::PipeStage stage, const SlotInstr& s) const {
+  return trace::Event{.cycle = perf_.cycles,
+                      .kind = trace::EventKind::kPipeStage,
+                      .core = static_cast<u8>(cfg_.core_id),
+                      .unit = static_cast<u8>(stage),
+                      .addr = s.pc,
+                      .a = s.ordinal};
+}
+
 bool Cpu::inject_pipeline_upset(u64 pick) {
   SlotInstr* latches[] = {&ex_[0], &ex_[1], &exmem_[0], &exmem_[1], &memwb_[0], &memwb_[1]};
   SlotInstr* valid[6];
@@ -114,7 +123,7 @@ void Cpu::stage_wb() {
       mfpc_ = s.pc;
     }
     ++perf_.instret;
-    if (trace_.enabled()) trace_.on_stage(s.trace_id, Stage::kWb, perf_.cycles);
+    DETSTL_TRACE(sink_, stage_event(trace::PipeStage::kWb, s));
     s.valid = false;
   }
 }
@@ -155,9 +164,9 @@ bool Cpu::stage_mem(mem::SharedBus& bus) {
     }
   }
 
-  if (trace_.enabled()) {
+  if (sink_ != nullptr) {
     for (const auto& s : exmem_)
-      if (s.valid) trace_.on_stage(s.trace_id, Stage::kMem, perf_.cycles);
+      if (s.valid) sink_->on_event(stage_event(trace::PipeStage::kMem, s));
   }
 
   if (block) {
@@ -246,8 +255,7 @@ void Cpu::stage_ex(bool mem_advanced, const SlotInstr (&snap_exmem)[2],
     --div_busy_;
     if (div_busy_ > 0) return;
     // Divide complete: move it through.
-    if (trace_.enabled() && ex_[0].valid)
-      trace_.on_stage(ex_[0].trace_id, Stage::kEx, perf_.cycles);
+    if (ex_[0].valid) DETSTL_TRACE(sink_, stage_event(trace::PipeStage::kEx, ex_[0]));
     exmem_[0] = ex_[0];
     exmem_[1] = ex_[1];
     ex_[0] = SlotInstr{};
@@ -285,7 +293,7 @@ void Cpu::stage_ex(bool mem_advanced, const SlotInstr (&snap_exmem)[2],
                                 .unit = static_cast<u8>(phase_.current()),
                                 .addr = slot.pc});
     }
-    if (trace_.enabled()) trace_.on_stage(slot.trace_id, Stage::kEx, perf_.cycles);
+    DETSTL_TRACE(sink_, stage_event(trace::PipeStage::kEx, slot));
   }
 
   // A freshly started divide stays in EX.
@@ -474,8 +482,13 @@ void Cpu::stage_issue() {
     s.is64 = isa::is_r64(in.op);
     s.writes = isa::writes_rd(in) && in.rd != 0;
     s.is_load = isa::is_load(in.op);
-    if (trace_.enabled())
-      s.trace_id = trace_.on_issue(perf_.cycles, e.pc, pipe, isa::disasm(in));
+    s.ordinal = issued_++;
+    if (sink_ != nullptr) {
+      trace::Event ev = stage_event(trace::PipeStage::kIssue, s);
+      ev.flags = static_cast<u8>(pipe);
+      ev.b = e.word;
+      sink_->on_event(ev);
+    }
     return s;
   };
 

@@ -24,7 +24,6 @@
 #include "cpu/icu.h"
 #include "cpu/perf.h"
 #include "cpu/tap.h"
-#include "cpu/trace.h"
 #include "isa/alu.h"
 #include "isa/encoding.h"
 #include "mem/memsys.h"
@@ -78,11 +77,13 @@ class Cpu {
   const mem::MemSystem& memsys() const { return memsys_; }
 
   CpuHooks& hooks() { return hooks_; }
-  TraceRecorder& trace() { return trace_; }
 
   /// Install the detscope event sink into this core and its memory system
-  /// (non-owning; null = tracing off). Carried by value copies like the hook
-  /// pointers — re-install or clear after checkpoint restore (trace/event.h).
+  /// (non-owning; null = tracing off). Besides phase and interrupt events the
+  /// core emits kPipeStage at issue and for every EX/MEM/WB occupancy
+  /// (trace::PipelineDiagram draws them). Carried by value copies like the
+  /// hook pointers — re-install or clear after checkpoint restore
+  /// (trace/event.h).
   void set_trace_sink(trace::EventSink* sink) {
     sink_ = sink;
     memsys_.set_trace_sink(sink);
@@ -111,7 +112,7 @@ class Cpu {
     bool valid = false;
     isa::Instr in;
     u32 pc = 0;
-    u64 trace_id = 0;
+    u32 ordinal = 0;  // issue ordinal carried by kPipeStage events
     // EX results
     u64 result = 0;   // rd value (zero-extended for 32-bit ops; pair for R64)
     bool is64 = false;
@@ -139,6 +140,8 @@ class Cpu {
   void stage_fetch(mem::SharedBus& bus);
   void icu_endofcycle();
 
+  trace::Event stage_event(trace::PipeStage stage, const SlotInstr& s) const;
+
   void execute_slot(SlotInstr& slot, u64 op_a, u64 op_b);
   void exec_system(SlotInstr& slot, u32 rs1_val);
   void do_redirect(u32 target);
@@ -156,7 +159,6 @@ class Cpu {
   CpuConfig cfg_;
   mem::MemSystem memsys_;
   CpuHooks hooks_;
-  TraceRecorder trace_;
 
   // Architectural state
   u32 regs_[isa::kNumRegs] = {};
@@ -195,10 +197,16 @@ class Cpu {
   bool icu_ack_ = false;
   IcuOut icu_out_;     // latched output visible to IS/CSRs next cycle
 
-  // detscope: non-owning event sink + wrapper-phase recognition (value state;
-  // the tracker travels with checkpoints, the sink is re-installed/cleared).
+  // detscope: non-owning event sink, wrapper-phase recognition and the issue
+  // ordinal (value state; the tracker and the ordinal travel with
+  // checkpoints, the sink is re-installed/cleared). The ordinal counts issued
+  // instructions, not perf_.decodes: a slot-1 candidate that fails to pair is
+  // decoded again next cycle, and whether it was there to decode depends on
+  // whether the next fetch packet had arrived, i.e. on fetch timing, which
+  // the determinism audit must not see.
   trace::EventSink* sink_ = nullptr;
   trace::PhaseTracker phase_;
+  u32 issued_ = 0;
 };
 
 }  // namespace detstl::cpu

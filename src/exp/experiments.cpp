@@ -6,7 +6,7 @@
 #include <set>
 #include <stdexcept>
 
-#include "isa/disasm.h"
+#include "trace/pipeline.h"
 
 namespace detstl::exp {
 
@@ -144,28 +144,27 @@ Fig1Run fig1_run(unsigned cores, bool cached) {
     s.load_program(pc);
     s.set_boot(c, pc.entry());
   }
+  trace::PipelineDiagram diagram(0);
+  s.set_trace_sink(&diagram);
   s.reset();
-  s.core(0).trace().enable(true);
   const auto res = s.run(100000);
   if (res.timed_out) throw std::runtime_error("fig1 run timed out");
 
   Fig1Run out;
   // Find the second-iteration producer/consumer EX cycles.
-  const auto& instrs = s.core(0).trace().instrs();
   u64 prod_ex = 0, cons_ex = 0, window_lo = 0, window_hi = 0;
-  for (const auto& ti : instrs) {
-    if (ti.text.rfind("add    r3", 0) == 0) {
-      prod_ex = ti.stage_cycle[1];
-      window_lo = ti.stage_cycle[0];
+  for (const auto& row : diagram.rows()) {
+    if (row.text.rfind("add    r3", 0) == 0) {
+      prod_ex = row.stage_cycle[1];
+      window_lo = row.stage_cycle[0];
     }
-    if (ti.text.rfind("add    r5", 0) == 0) {
-      cons_ex = ti.stage_cycle[1];
-      window_hi = ti.stage_cycle[3];
+    if (row.text.rfind("add    r5", 0) == 0) {
+      cons_ex = row.stage_cycle[1];
+      window_hi = row.stage_cycle[3];
     }
   }
   out.ex_distance = cons_ex > prod_ex ? cons_ex - prod_ex : 0;
-  out.trace = s.core(0).trace().render(window_lo > 4 ? window_lo - 4 : 0,
-                                       window_hi + 2);
+  out.trace = diagram.render(window_lo > 4 ? window_lo - 4 : 0, window_hi + 2);
   return out;
 }
 

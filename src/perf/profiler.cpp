@@ -16,7 +16,6 @@ const char* prof_scope_name(ProfScope s) {
     case ProfScope::kBusArb: return "mem.bus_arb";
     case ProfScope::kNetlistScreen: return "fault.screen";
     case ProfScope::kSnapshotRestore: return "fault.snapshot_restore";
-    case ProfScope::kTraceEmit: return "trace.emit";
     case ProfScope::kCheckpointIO: return "ckpt.io";
     case ProfScope::kCount: break;
   }
@@ -38,10 +37,6 @@ u64 prof_now_ns() {
 }
 
 }  // namespace detail
-
-bool prof_enabled() {
-  return detail::prof_state().enabled.load(std::memory_order_relaxed);
-}
 
 void set_prof_enabled(bool on) {
   detail::prof_state().enabled.store(on, std::memory_order_relaxed);

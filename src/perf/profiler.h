@@ -1,13 +1,12 @@
 #pragma once
 // stlperf subsystem profiler: scoped host-time attribution across the
 // simulator's hot paths (fetch/decode/execute, cache model, bus arbitration,
-// trace emission, checkpoint I/O). Answers "where do the host cycles go?" —
-// the map the two-tier-engine work needs before touching anything.
+// checkpoint I/O). Answers "where do the host cycles go?" — the map the
+// two-tier-engine work needs before touching anything.
 //
-// Cost model, mirroring DETSTL_TRACE (trace/event.h):
-//  * compiled out entirely under -DDETSTL_PROF_DISABLED (zero code);
-//  * compiled in but disabled (the default): one relaxed atomic load per
-//    scope, no clock reads;
+// Cost model:
+//  * disabled (the default): one relaxed atomic load per scope, no clock
+//    reads;
 //  * enabled (set_prof_enabled(true)): two steady_clock reads per scope.
 //    Profiled runs are therefore slower — the sim-MHz KPI and the CI gate
 //    always use non-profiled runs, and bench --profile is a separate switch
@@ -33,7 +32,6 @@ enum class ProfScope : u8 {
   kBusArb,           // SharedBus::tick (arbitration + device access)
   kNetlistScreen,    // 64-lane excitation screening replay
   kSnapshotRestore,  // SoC checkpoint copy in fault detection
-  kTraceEmit,        // EventSink::on_event via ProfiledSink
   kCheckpointIO,     // shard serialisation + write + fsync, shard load
   kCount,
 };
@@ -59,7 +57,6 @@ struct ProfSnapshot {
   std::string render(double wall_s = 0.0) const;
 };
 
-bool prof_enabled();
 void set_prof_enabled(bool on);
 void prof_reset();
 ProfSnapshot prof_snapshot();
@@ -103,16 +100,10 @@ class ProfTimer {
   u64 t0_ = 0;
 };
 
-#ifdef DETSTL_PROF_DISABLED
-#define DETSTL_PROF_SCOPE(scope) \
-  do {                           \
-  } while (false)
-#else
 #define DETSTL_PROF_CAT2(a, b) a##b
 #define DETSTL_PROF_CAT(a, b) DETSTL_PROF_CAT2(a, b)
 #define DETSTL_PROF_SCOPE(scope)                       \
   ::detstl::perf::ProfTimer DETSTL_PROF_CAT(           \
       detstl_prof_scope_, __LINE__)(scope)
-#endif
 
 }  // namespace detstl::perf

@@ -155,7 +155,7 @@ AuditResult audit_determinism(const core::SelfTestRoutine& routine,
         env_for_core(c, opts.write_allocate, opts.use_perf_counters)));
   }
 
-  const RunOutcome solo = run_once(graded, neighbors, opts, /*contended=*/false);
+  RunOutcome solo = run_once(graded, neighbors, opts, /*contended=*/false);
   const RunOutcome cont = run_once(graded, neighbors, opts, /*contended=*/true);
 
   r.solo_cycles = solo.graded_cycles;
@@ -205,6 +205,7 @@ AuditResult audit_determinism(const core::SelfTestRoutine& routine,
     }
   }
   if (!r.verdicts_pass) r.detail += "graded core did not PASS in both runs\n";
+  r.window = std::move(solo.window);
   return r;
 }
 

@@ -62,6 +62,7 @@ struct AuditResult {
   bool verdicts_pass = false;      // graded core PASSed in both runs
   std::size_t window_events_solo = 0;
   std::size_t window_events_contended = 0;
+  std::vector<Event> window;  // the solo run's rebased window, as compared
   u64 solo_cycles = 0;       // graded-core cycles, reset -> halt
   u64 contended_cycles = 0;
   /// Bus grants issued to the neighbour cores' requesters in the contended

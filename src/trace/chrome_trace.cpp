@@ -131,6 +131,8 @@ void ChromeTraceWriter::write(std::ostream& os) const {
         j.args = "\"unit\":" + std::to_string(e.unit) +
                  ",\"a\":" + std::to_string(e.a) + ",\"b\":" + std::to_string(e.b);
         break;
+      case EventKind::kPipeStage:
+        continue;  // never buffered (on_event)
       case EventKind::kDisturbance:
       case EventKind::kSupAttempt:
       case EventKind::kSupOutcome:

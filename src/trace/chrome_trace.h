@@ -18,7 +18,11 @@ namespace detstl::trace {
 
 class ChromeTraceWriter final : public EventSink {
  public:
-  void on_event(const Event& e) override { events_.push_back(e); }
+  /// Buffers every event except kPipeStage: per-cycle stage occupancy has
+  /// no track of its own here (trace::PipelineDiagram draws it).
+  void on_event(const Event& e) override {
+    if (e.kind != EventKind::kPipeStage) events_.push_back(e);
+  }
 
   std::size_t size() const { return events_.size(); }
   const std::vector<Event>& events() const { return events_; }

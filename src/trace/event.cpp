@@ -30,6 +30,7 @@ const char* kind_name(EventKind k) {
     case EventKind::kMissionSlice: return "mission-slice";
     case EventKind::kMissionCheck: return "mission-check";
     case EventKind::kSoakUpset: return "soak-upset";
+    case EventKind::kPipeStage: return "pipe-stage";
   }
   return "?";
 }

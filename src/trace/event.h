@@ -10,9 +10,7 @@
 // (soc::Soc::set_trace_sink). The fault campaign clears it on every restored
 // faulty replica so worker threads never emit concurrently.
 //
-// The DETSTL_TRACE macro is the only emission idiom; configuring the build
-// with DETSTL_TRACE_DISABLED compiles every emit site out entirely (the
-// event expression is never evaluated).
+// The DETSTL_TRACE macro is the only emission idiom.
 
 #include "common/bitutil.h"
 
@@ -72,6 +70,13 @@ enum class EventKind : u8 {
   kSoakUpset,     // unit = runtime::SoakSite, addr = resolved target,
                   // a = flipped bit, b = plan upset index,
                   // flags bit0 = applied (0 = skipped: no live target)
+  // Pipeline occupancy (cpu/cpu.cpp; cycle = core clock): one event at issue
+  // and one per cycle an instruction occupies EX, MEM or WB — the raw
+  // material of the Figure 1 diagram (trace/pipeline.h). Appended last so
+  // event files keep their kind numbering.
+  kPipeStage,  // unit = PipeStage, addr = pc, a = issue ordinal (per-core
+               // count of issued instructions since reset); issue only:
+               // b = raw instruction word, flags = pipe (slot in the packet)
 };
 
 const char* kind_name(EventKind k);
@@ -88,6 +93,12 @@ enum class Phase : u8 {
 inline constexpr unsigned kNumPhases = 4;
 
 const char* phase_name(Phase p);
+
+/// Pipeline stage of a kPipeStage event (IF is not traced: fetched words
+/// that never issue have no instruction identity).
+enum class PipeStage : u8 { kIssue, kEx, kMem, kWb };
+
+inline constexpr unsigned kNumPipeStages = 4;
 
 inline constexpr u8 kNoCore = 0xff;
 
@@ -157,16 +168,8 @@ class PhaseTracker {
 }  // namespace detstl::trace
 
 /// Emit an event iff a sink is installed. The event expression is evaluated
-/// only when the sink is non-null; with DETSTL_TRACE_DISABLED it is compiled
-/// out entirely.
-#ifndef DETSTL_TRACE_DISABLED
+/// only when the sink is non-null.
 #define DETSTL_TRACE(sink, ...)                            \
   do {                                                     \
     if ((sink) != nullptr) (sink)->on_event(__VA_ARGS__);  \
   } while (0)
-#else
-#define DETSTL_TRACE(sink, ...) \
-  do {                          \
-    (void)(sink);               \
-  } while (0)
-#endif

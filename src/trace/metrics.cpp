@@ -5,6 +5,9 @@
 namespace detstl::trace {
 
 void MetricsRegistry::on_event(const Event& e) {
+  // Stage occupancy would swamp the per-phase event counts without adding a
+  // counter; the determinism audit compares it through StreamCapture.
+  if (e.kind == EventKind::kPipeStage) return;
   ++total_events_;
   if (e.core == kNoCore) {
     ++campaign_events_;

@@ -1,11 +1,12 @@
 // CPU corner cases: imprecise-interrupt flows (recognition, distances, ERET,
 // masking, MIP write-1-clear, the IRQ synchroniser), divide stalls, atomics,
-// access errors, halt semantics, counters, and the pipeline tracer.
+// access errors, halt semantics, counters, and the pipeline diagram.
 
 #include <gtest/gtest.h>
 
 #include "isa/disasm.h"
 #include "testutil.h"
+#include "trace/pipeline.h"
 
 namespace detstl {
 namespace {
@@ -341,7 +342,7 @@ TEST(Pipeline, PerfCountersAreConsistent) {
   EXPECT_LE(s.core(0).reg(11), s.core(0).reg(10));
 }
 
-TEST(Pipeline, TraceRecorderCapturesStages) {
+TEST(Pipeline, DiagramCapturesStages) {
   Assembler a(mem::kFlashBase);
   a.addi(R1, R0, 1);
   a.add(R2, R1, R1);
@@ -350,10 +351,11 @@ TEST(Pipeline, TraceRecorderCapturesStages) {
   const auto prog = a.assemble();
   s.load_program(prog);
   s.set_boot(0, prog.entry());
+  trace::PipelineDiagram diagram(0);
+  s.set_trace_sink(&diagram);
   s.reset();
-  s.core(0).trace().enable(true);
   s.run(1000);
-  const auto& instrs = s.core(0).trace().instrs();
+  const auto& instrs = diagram.rows();
   ASSERT_GE(instrs.size(), 3u);
   for (const auto& ti : instrs) {
     // Issue < EX <= MEM <= WB ordering for retired instructions.
@@ -362,7 +364,7 @@ TEST(Pipeline, TraceRecorderCapturesStages) {
     EXPECT_LT(ti.stage_cycle[1], ti.stage_cycle[2]) << ti.text;
     EXPECT_LT(ti.stage_cycle[2], ti.stage_cycle[3]) << ti.text;
   }
-  const std::string rendered = s.core(0).trace().render();
+  const std::string rendered = diagram.render();
   EXPECT_NE(rendered.find("add"), std::string::npos);
 }
 

@@ -16,7 +16,6 @@
 #include "core/routines.h"
 #include "core/stl.h"
 #include "core/wrapper.h"
-#include "cpu/trace.h"
 #include "exp/experiments.h"
 #include "fault/campaign.h"
 #include "soc/soc.h"
@@ -25,6 +24,7 @@
 #include "trace/chrome_trace.h"
 #include "trace/event.h"
 #include "trace/metrics.h"
+#include "trace/pipeline.h"
 #include "trace/trace_io.h"
 #include "trace/xval.h"
 
@@ -128,26 +128,41 @@ TEST(StreamCapture, FiltersByCore) {
 }
 
 // -----------------------------------------------------------------------------
-// TraceRecorder windowed rendering
+// PipelineDiagram windowed rendering
 // -----------------------------------------------------------------------------
 
-TEST(TraceRecorder, RenderWindowSelectsCycles) {
-  cpu::TraceRecorder rec;
+/// One kPipeStage event of core 0 (issue events carry the raw word).
+trace::Event stage_event(u64 cycle, trace::PipeStage stage, u32 ordinal, u32 pc,
+                         u32 word = 0) {
+  return trace::Event{.cycle = cycle,
+                      .kind = trace::EventKind::kPipeStage,
+                      .core = 0,
+                      .unit = static_cast<u8>(stage),
+                      .addr = pc,
+                      .a = ordinal,
+                      .b = word};
+}
+
+TEST(PipelineDiagram, RenderWindowSelectsCycles) {
+  trace::PipelineDiagram rec(0);
   EXPECT_EQ(rec.render(), "(empty trace)\n");
 
-  const u64 a = rec.on_issue(2, 0x100, 0, "add r1, r2, r3");
-  rec.on_stage(a, cpu::Stage::kEx, 3);
-  rec.on_stage(a, cpu::Stage::kMem, 4);
-  rec.on_stage(a, cpu::Stage::kWb, 5);
-  const u64 b = rec.on_issue(10, 0x104, 0, "sub r4, r5, r6");
-  rec.on_stage(b, cpu::Stage::kEx, 11);
-  rec.on_stage(b, cpu::Stage::kMem, 12);
-  rec.on_stage(b, cpu::Stage::kWb, 13);
+  using trace::PipeStage;
+  const u32 add = isa::encode(isa::Instr{.op = isa::Op::kAdd, .rd = 1, .rs1 = 2, .rs2 = 3});
+  const u32 sub = isa::encode(isa::Instr{.op = isa::Op::kSub, .rd = 4, .rs1 = 5, .rs2 = 6});
+  rec.on_event(stage_event(2, PipeStage::kIssue, 0, 0x100, add));
+  rec.on_event(stage_event(3, PipeStage::kEx, 0, 0x100));
+  rec.on_event(stage_event(4, PipeStage::kMem, 0, 0x100));
+  rec.on_event(stage_event(5, PipeStage::kWb, 0, 0x100));
+  rec.on_event(stage_event(10, PipeStage::kIssue, 1, 0x104, sub));
+  rec.on_event(stage_event(11, PipeStage::kEx, 1, 0x104));
+  rec.on_event(stage_event(12, PipeStage::kMem, 1, 0x104));
+  rec.on_event(stage_event(13, PipeStage::kWb, 1, 0x104));
 
   const std::string full = rec.render();
   EXPECT_NE(full.find("00000100"), std::string::npos);
   EXPECT_NE(full.find("00000104"), std::string::npos);
-  EXPECT_NE(full.find("add r1, r2, r3"), std::string::npos);
+  EXPECT_NE(full.find("add    r1, r2, r3"), std::string::npos);
 
   // Early window: the second instruction issues past the window end.
   const std::string early = rec.render(0, 5);
@@ -421,6 +436,33 @@ TEST(ChromeTrace, JsonParsesBackAndTimelinesAreMonotone) {
   }
 }
 
+// Stage events are for the pipeline diagram and the audit: the Chrome trace
+// and the per-phase metrics of a run must not change when they are present.
+TEST(ChromeTrace, JsonAndMetricsIgnorePipeStageEvents) {
+  trace::StreamCapture cap;
+  ASSERT_TRUE(run_cached(3, &cap));
+  std::vector<trace::Event> without;
+  for (const trace::Event& e : cap.events())
+    if (e.kind != trace::EventKind::kPipeStage) without.push_back(e);
+  ASSERT_LT(without.size(), cap.events().size());
+
+  const auto render = [](const std::vector<trace::Event>& events) {
+    trace::ChromeTraceWriter writer;
+    writer.set_include_hits(true);
+    writer.set_include_beats(true);
+    trace::MetricsRegistry metrics;
+    for (const trace::Event& e : events) {
+      writer.on_event(e);
+      metrics.on_event(e);
+    }
+    std::ostringstream os;
+    writer.write(os);
+    // detscope run prints size() as the trace's event count.
+    return std::to_string(writer.size()) + "\n" + os.str() + metrics.render();
+  };
+  EXPECT_EQ(render(cap.events()), render(without));
+}
+
 // -----------------------------------------------------------------------------
 // Checkpoint contract of the sink pointer
 // -----------------------------------------------------------------------------
@@ -456,6 +498,15 @@ TEST(DeterminismAudit, AluCacheWrappedIsDeterministic) {
   EXPECT_EQ(r.window_events_solo, r.window_events_contended);
   // The neighbours really were hammering the bus while the window ran.
   EXPECT_GT(r.contended_neighbor_grants, 0u);
+  // The compared window carries the graded core's pipeline timing: every
+  // stage occupancy of the execution loop, not only its bus/cache events.
+  std::set<unsigned> stages;
+  for (const trace::Event& e : r.window) {
+    if (e.kind != trace::EventKind::kPipeStage) continue;
+    EXPECT_EQ(e.core, 0u);
+    stages.insert(e.unit);
+  }
+  EXPECT_EQ(stages.size(), trace::kNumPipeStages);
 }
 
 TEST(DeterminismAudit, FwdPcCacheWrappedIsDeterministic) {
