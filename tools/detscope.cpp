@@ -20,7 +20,6 @@
 // Exit codes: 0 = pass, 1 = a check failed, 2 = usage/build error.
 
 #include <cstdio>
-#include <cstring>
 #include <string>
 #include <vector>
 
@@ -42,6 +41,8 @@
 namespace {
 
 using namespace detstl;
+
+constexpr const char* kTool = "detscope";
 
 void usage(std::FILE* os) {
   std::fprintf(
@@ -93,51 +94,58 @@ std::string requester_name(unsigned id) {
          port[id % 3];
 }
 
-int cmd_run(const std::vector<std::string>& args) {
-  std::string routine_name = "fwd-pc";
+/// The scenario run and metrics simulate: a built-in routine cache-wrapped
+/// on the first `cores` cores (reset stagger 0/3/7), the others inactive.
+struct Quickstart {
+  std::string routine = "fwd-pc";
   unsigned cores = 3;
   bool wa = true;
+
+  /// --routine / --cores / --wa for cli::parse_args; false = not one of them.
+  bool parse(const std::string& a, auto& need) {
+    if (a == "--routine") routine = need();
+    else if (a == "--cores") cores = cli::require_unsigned(kTool, "--cores", need(), 1, 3);
+    else if (a == "--wa") wa = require_on_off("--wa", need());
+    else return false;
+    return true;
+  }
+
+  /// Build one test per active core into `tests`; returns the loaded SoC.
+  soc::Soc build(std::vector<core::BuiltTest>& tests) const {
+    const auto r = routine_or_die(routine)->make();
+    for (unsigned c = 0; c < cores; ++c)
+      tests.push_back(core::build_wrapped(*r, core::WrapperKind::kCacheBased,
+                                          core::quickstart_env(c, wa)));
+    soc::SocConfig cfg;
+    cfg.start_delay = {0, 3, 7};
+    soc::Soc soc(cfg);
+    for (const auto& t : tests) {
+      soc.load_program(t.prog);
+      soc.set_boot(t.env.core_id, t.prog.entry());
+    }
+    for (unsigned c = cores; c < 3; ++c) soc.set_active(c, false);
+    return soc;
+  }
+};
+
+int cmd_run(int argc, char** argv) {
+  Quickstart q;
   std::string trace_path;
   std::string events_path;
   bool hits = false, beats = false;
-  for (std::size_t i = 0; i < args.size(); ++i) {
-    const auto need = [&]() -> const std::string& {
-      if (i + 1 >= args.size()) {
-        usage(stderr);
-        std::exit(2);
-      }
-      return args[++i];
-    };
-    if (args[i] == "--routine") routine_name = need();
-    else if (args[i] == "--cores")
-      cores = cli::require_unsigned("detscope", "--cores", need(), 1, 3);
-    else if (args[i] == "--wa") wa = require_on_off("--wa", need());
-    else if (args[i] == "--trace") trace_path = need();
-    else if (args[i] == "--events") events_path = need();
-    else if (args[i] == "--hits") hits = true;
-    else if (args[i] == "--beats") beats = true;
-    else {
-      std::fprintf(stderr, "detscope: unknown option '%s'\n", args[i].c_str());
-      usage(stderr);
-      return 2;
-    }
-  }
+  const auto parse = [&](const std::string& a, auto& need) {
+    if (a == "--trace") trace_path = need();
+    else if (a == "--events") events_path = need();
+    else if (a == "--hits") hits = true;
+    else if (a == "--beats") beats = true;
+    else return q.parse(a, need);
+    return true;
+  };
+  if (const int rc = cli::parse_args(kTool, usage, argc, argv, parse); rc >= 0)
+    return rc;
 
-  const auto routine = routine_or_die(routine_name)->make();
   std::vector<core::BuiltTest> tests;
-  for (unsigned c = 0; c < cores; ++c) {
-    tests.push_back(core::build_wrapped(*routine, core::WrapperKind::kCacheBased,
-                                        core::quickstart_env(c, wa)));
-  }
-
-  soc::SocConfig cfg;
-  cfg.start_delay = {0, 3, 7};
-  soc::Soc soc(cfg);
-  for (const auto& t : tests) {
-    soc.load_program(t.prog);
-    soc.set_boot(t.env.core_id, t.prog.entry());
-  }
-  for (unsigned c = cores; c < 3; ++c) soc.set_active(c, false);
+  soc::Soc soc = q.build(tests);
 
   trace::FanoutSink fan;
   trace::MetricsRegistry metrics;
@@ -158,7 +166,7 @@ int cmd_run(const std::vector<std::string>& args) {
   }
 
   bool all_pass = true;
-  for (unsigned c = 0; c < cores; ++c) {
+  for (unsigned c = 0; c < q.cores; ++c) {
     const auto v = core::read_verdict(soc, soc::mailbox_addr(c));
     const bool pass = v.status == soc::kStatusPass && v.signature == tests[c].golden;
     all_pass &= pass;
@@ -170,7 +178,7 @@ int cmd_run(const std::vector<std::string>& args) {
 
   TextTable bus("shared bus, per requester");
   bus.header({"requester", "submits", "grants", "wait cyc", "occupancy cyc"});
-  for (unsigned id = 0; id < cores * 3; ++id) {
+  for (unsigned id = 0; id < q.cores * 3; ++id) {
     const auto& st = soc.bus().stats(id);
     if (st.submits == 0) continue;
     bus.row({requester_name(id),
@@ -208,25 +216,17 @@ int cmd_run(const std::vector<std::string>& args) {
   return all_pass && violations.empty() ? 0 : 1;
 }
 
-int cmd_audit(const std::vector<std::string>& args) {
+int cmd_audit(int argc, char** argv) {
   std::string routine_name = "all";
   trace::AuditOptions opts;
-  for (std::size_t i = 0; i < args.size(); ++i) {
-    const auto need = [&]() -> const std::string& {
-      if (i + 1 >= args.size()) {
-        usage(stderr);
-        std::exit(2);
-      }
-      return args[++i];
-    };
-    if (args[i] == "--routine") routine_name = need();
-    else if (args[i] == "--wa") opts.write_allocate = require_on_off("--wa", need());
-    else {
-      std::fprintf(stderr, "detscope: unknown option '%s'\n", args[i].c_str());
-      usage(stderr);
-      return 2;
-    }
-  }
+  const auto parse = [&](const std::string& a, auto& need) {
+    if (a == "--routine") routine_name = need();
+    else if (a == "--wa") opts.write_allocate = require_on_off("--wa", need());
+    else return false;
+    return true;
+  };
+  if (const int rc = cli::parse_args(kTool, usage, argc, argv, parse); rc >= 0)
+    return rc;
 
   std::vector<const core::RoutineEntry*> targets;
   if (routine_name == "all") {
@@ -253,40 +253,33 @@ int cmd_audit(const std::vector<std::string>& args) {
   return all_pass ? 0 : 1;
 }
 
-int cmd_campaign_audit(const std::vector<std::string>& args) {
+int cmd_campaign_audit(int argc, char** argv) {
   fault::Module module = fault::Module::kFwd;
   std::vector<unsigned> threads = {1, 2, 8};
   u32 stride = 8;
-  for (std::size_t i = 0; i < args.size(); ++i) {
-    const auto need = [&]() -> const std::string& {
-      if (i + 1 >= args.size()) {
-        usage(stderr);
-        std::exit(2);
-      }
-      return args[++i];
-    };
-    if (args[i] == "--module") {
+  const auto parse = [&](const std::string& a, auto& need) {
+    if (a == "--module") {
       const std::string m = need();
       if (m == "fwd") module = fault::Module::kFwd;
       else if (m == "hdcu") module = fault::Module::kHdcu;
       else if (m == "icu") module = fault::Module::kIcu;
       else {
-        std::fprintf(stderr,
-                     "detscope: --module expects fwd|hdcu|icu, got '%s'\n",
+        std::fprintf(stderr, "detscope: --module expects fwd|hdcu|icu, got '%s'\n",
                      m.c_str());
         usage(stderr);
-        return 2;
+        std::exit(cli::kExitUsage);
       }
-    } else if (args[i] == "--threads") {
-      threads = cli::require_unsigned_list("detscope", "--threads", need(), 1, 256);
-    } else if (args[i] == "--stride") {
-      stride = cli::require_unsigned("detscope", "--stride", need(), 1, 1u << 20);
+    } else if (a == "--threads") {
+      threads = cli::require_unsigned_list(kTool, "--threads", need(), 1, 256);
+    } else if (a == "--stride") {
+      stride = cli::require_unsigned(kTool, "--stride", need(), 1, 1u << 20);
     } else {
-      std::fprintf(stderr, "detscope: unknown option '%s'\n", args[i].c_str());
-      usage(stderr);
-      return 2;
+      return false;
     }
-  }
+    return true;
+  };
+  if (const int rc = cli::parse_args(kTool, usage, argc, argv, parse); rc >= 0)
+    return rc;
 
   // The graded scenario of the parallel-campaign regression tests: one core,
   // plain wrapper, value-only fwd routine (fast, deterministic).
@@ -316,46 +309,19 @@ int cmd_campaign_audit(const std::vector<std::string>& args) {
   return r.passed() ? 0 : 1;
 }
 
-int cmd_metrics(const std::vector<std::string>& args) {
-  std::string routine_name = "fwd-pc";
-  unsigned cores = 3;
-  bool wa = true;
+int cmd_metrics(int argc, char** argv) {
+  Quickstart q;
   std::string out_path;
-  for (std::size_t i = 0; i < args.size(); ++i) {
-    const auto need = [&]() -> const std::string& {
-      if (i + 1 >= args.size()) {
-        usage(stderr);
-        std::exit(2);
-      }
-      return args[++i];
-    };
-    if (args[i] == "--routine") routine_name = need();
-    else if (args[i] == "--cores")
-      cores = cli::require_unsigned("detscope", "--cores", need(), 1, 3);
-    else if (args[i] == "--wa") wa = require_on_off("--wa", need());
-    else if (args[i] == "--out") out_path = need();
-    else {
-      std::fprintf(stderr, "detscope: unknown option '%s'\n", args[i].c_str());
-      usage(stderr);
-      return 2;
-    }
-  }
+  const auto parse = [&](const std::string& a, auto& need) {
+    if (a == "--out") out_path = need();
+    else return q.parse(a, need);
+    return true;
+  };
+  if (const int rc = cli::parse_args(kTool, usage, argc, argv, parse); rc >= 0)
+    return rc;
 
-  const auto routine = routine_or_die(routine_name)->make();
   std::vector<core::BuiltTest> tests;
-  for (unsigned c = 0; c < cores; ++c) {
-    tests.push_back(core::build_wrapped(*routine, core::WrapperKind::kCacheBased,
-                                        core::quickstart_env(c, wa)));
-  }
-
-  soc::SocConfig cfg;
-  cfg.start_delay = {0, 3, 7};
-  soc::Soc soc(cfg);
-  for (const auto& t : tests) {
-    soc.load_program(t.prog);
-    soc.set_boot(t.env.core_id, t.prog.entry());
-  }
-  for (unsigned c = cores; c < 3; ++c) soc.set_active(c, false);
+  soc::Soc soc = q.build(tests);
 
   const perf::SimSnapshot before = perf::sim_totals().snapshot();
   perf::HostTimer timer;
@@ -372,7 +338,7 @@ int cmd_metrics(const std::vector<std::string>& args) {
   rep.name = "detscope-metrics";
   rep.detstl_version = kDetstlVersion;
   fault::ConfigHasher hash;
-  hash.str("detscope-metrics").str(routine_name).u32v(cores).u8v(wa ? 1 : 0);
+  hash.str("detscope-metrics").str(q.routine).u32v(q.cores).u8v(q.wa ? 1 : 0);
   rep.config_hash = hash.digest();
   rep.sim_cycles = delta.sim_cycles();
   rep.sim_units = delta.units();
@@ -403,7 +369,6 @@ int main(int argc, char** argv) {
     return 2;
   }
   const std::string cmd = argv[1];
-  std::vector<std::string> args(argv + 2, argv + argc);
   if (cmd == "-h" || cmd == "--help") {
     usage(stdout);
     return 0;
@@ -413,10 +378,10 @@ int main(int argc, char** argv) {
     return 0;
   }
   try {
-    if (cmd == "run") return cmd_run(args);
-    if (cmd == "audit") return cmd_audit(args);
-    if (cmd == "campaign-audit") return cmd_campaign_audit(args);
-    if (cmd == "metrics") return cmd_metrics(args);
+    if (cmd == "run") return cmd_run(argc - 2, argv + 2);
+    if (cmd == "audit") return cmd_audit(argc - 2, argv + 2);
+    if (cmd == "campaign-audit") return cmd_campaign_audit(argc - 2, argv + 2);
+    if (cmd == "metrics") return cmd_metrics(argc - 2, argv + 2);
   } catch (const std::exception& e) {
     std::fprintf(stderr, "detscope: %s\n", e.what());
     return 2;

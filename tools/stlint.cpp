@@ -11,7 +11,6 @@
 //   2  usage error / unknown routine / build failure
 
 #include <cstdio>
-#include <cstring>
 #include <fstream>
 #include <functional>
 #include <iostream>
@@ -55,128 +54,101 @@ struct Options {
   unsigned cores = 3;      // --xval: graded cores in the recorded scenario
 };
 
-void usage(std::ostream& os) {
-  os << "stlint — static determinism verifier for wrapped self-test routines\n"
-        "\n"
-        "usage:\n"
-        "  stlint [options]            lint bundled routines (default: all)\n"
-        "  stlint --list               list routines and fixtures\n"
-        "  stlint --fixture NAME       lint one negative fixture (demo)\n"
-        "  stlint --fixtures           self-check: every fixture must trip "
-        "its rule,\n"
-        "                              and every rule class must be covered\n"
-        "  stlint --matrix             scenario-matrix proofs: sweep cache "
-        "geometry x\n"
-        "                              cores x placement, verdict table on "
-        "stdout\n"
-        "  stlint --xval FILE          replay a detscope event stream "
-        "(--events FILE)\n"
-        "                              against the static prediction\n"
-        "\n"
-        "options:\n"
-        "  --routine NAME   lint only this routine (repeatable)\n"
-        "  --wrapper KIND   plain | cache | tcm            (default: cache)\n"
-        "  --wa MODE        write-allocate: on | off | both (default: both)\n"
-        "  --perf           fold performance counters into the signature\n"
-        "  --core K         core kind: A | B | C           (default: A)\n"
-        "  -q, --quiet      only print per-target verdicts\n"
-        "  -v, --verbose    print full reports even when clean\n"
-        "  --json           machine-readable report on stdout\n"
-        "  --sarif FILE     also write the report as SARIF 2.1.0\n"
-        "  --golden FILE    --matrix: require the table to match this file\n"
-        "  --cores N        --xval: graded cores in the recording (default 3)\n"
-        "  --version        print suite + checkpoint schema version\n";
+void usage(std::FILE* to) {
+  std::fputs(
+      "stlint — static determinism verifier for wrapped self-test routines\n"
+      "\n"
+      "usage:\n"
+      "  stlint [options]            lint bundled routines (default: all)\n"
+      "  stlint --list               list routines and fixtures\n"
+      "  stlint --fixture NAME       lint one negative fixture (demo)\n"
+      "  stlint --fixtures           self-check: every fixture must trip "
+      "its rule,\n"
+      "                              and every rule class must be covered\n"
+      "  stlint --matrix             scenario-matrix proofs: sweep cache "
+      "geometry x\n"
+      "                              cores x placement, verdict table on "
+      "stdout\n"
+      "  stlint --xval FILE          replay a detscope event stream "
+      "(--events FILE)\n"
+      "                              against the static prediction\n"
+      "\n"
+      "options:\n"
+      "  --routine NAME   lint only this routine (repeatable)\n"
+      "  --wrapper KIND   plain | cache | tcm            (default: cache)\n"
+      "  --wa MODE        write-allocate: on | off | both (default: both)\n"
+      "  --perf           fold performance counters into the signature\n"
+      "  --core K         core kind: A | B | C           (default: A)\n"
+      "  -q, --quiet      only print per-target verdicts\n"
+      "  -v, --verbose    print full reports even when clean\n"
+      "  --json           machine-readable report on stdout\n"
+      "  --sarif FILE     also write the report as SARIF 2.1.0\n"
+      "  --golden FILE    --matrix: require the table to match this file\n"
+      "  --cores N        --xval: graded cores in the recording (default 3)\n"
+      "  --version        print suite + checkpoint schema version\n",
+      to);
 }
 
-bool parse(int argc, char** argv, Options& opt) {
-  for (int i = 1; i < argc; ++i) {
-    const std::string a = argv[i];
-    auto next = [&]() -> const char* {
-      if (i + 1 >= argc) {
-        std::cerr << "stlint: option '" << a << "' requires a value\n";
-        return nullptr;
-      }
-      return argv[++i];
-    };
-    if (a == "--routine") {
-      const char* v = next();
-      if (!v) return false;
-      opt.routines.push_back(v);
-    } else if (a == "--wrapper") {
-      const char* v = next();
-      if (!v) return false;
-      if (!strcmp(v, "plain")) opt.wrapper = core::WrapperKind::kPlain;
-      else if (!strcmp(v, "cache")) opt.wrapper = core::WrapperKind::kCacheBased;
-      else if (!strcmp(v, "tcm")) opt.wrapper = core::WrapperKind::kTcmBased;
-      else {
-        std::cerr << "stlint: --wrapper expects plain|cache|tcm, got '" << v
-                  << "'\n";
-        return false;
-      }
-    } else if (a == "--wa") {
-      const char* v = next();
-      if (!v) return false;
-      if (!strcmp(v, "on")) opt.wa = 1;
-      else if (!strcmp(v, "off")) opt.wa = 0;
-      else if (!strcmp(v, "both")) opt.wa = 2;
-      else {
-        std::cerr << "stlint: --wa expects on|off|both, got '" << v << "'\n";
-        return false;
-      }
-    } else if (a == "--perf") {
-      opt.perf = true;
-    } else if (a == "--core") {
-      const char* v = next();
-      if (!v) return false;
-      if (!strcmp(v, "A")) opt.kind = isa::CoreKind::kA;
-      else if (!strcmp(v, "B")) opt.kind = isa::CoreKind::kB;
-      else if (!strcmp(v, "C")) opt.kind = isa::CoreKind::kC;
-      else {
-        std::cerr << "stlint: --core expects A|B|C, got '" << v << "'\n";
-        return false;
-      }
-    } else if (a == "-q" || a == "--quiet") {
-      opt.quiet = true;
-    } else if (a == "-v" || a == "--verbose") {
-      opt.verbose = true;
-    } else if (a == "--json") {
-      opt.json = true;
-    } else if (a == "--list") {
-      opt.list = true;
-    } else if (a == "--fixtures") {
-      opt.fixtures_selfcheck = true;
-    } else if (a == "--fixture") {
-      const char* v = next();
-      if (!v) return false;
-      opt.fixture = v;
-    } else if (a == "--matrix") {
-      opt.matrix = true;
-    } else if (a == "--golden") {
-      const char* v = next();
-      if (!v) return false;
-      opt.golden = v;
-    } else if (a == "--sarif") {
-      const char* v = next();
-      if (!v) return false;
-      opt.sarif_path = v;
-    } else if (a == "--xval") {
-      const char* v = next();
-      if (!v) return false;
-      opt.xval_path = v;
-    } else if (a == "--cores") {
-      const char* v = next();
-      if (!v) return false;
-      opt.cores = cli::require_unsigned("stlint", "--cores", v, 1, 3);
-    } else if (a == "--version") {
-      cli::print_version("stlint");
-      std::exit(0);
-    } else if (a == "-h" || a == "--help") {
-      usage(std::cout);
-      std::exit(0);
-    } else {
-      std::cerr << "stlint: unknown option '" << a << "'\n";
-      return false;
-    }
+/// A recognised option with a malformed value: usage error (exit 2).
+[[noreturn]] void bad_value(const char* opt, const char* expected,
+                            const std::string& got) {
+  std::fprintf(stderr, "stlint: %s expects %s, got '%s'\n", opt, expected,
+               got.c_str());
+  usage(stderr);
+  std::exit(cli::kExitUsage);
+}
+
+/// One option for cli::parse_args; false = unknown option.
+bool parse_option(const std::string& a, auto& need, Options& opt) {
+  if (a == "--routine") {
+    opt.routines.push_back(need());
+  } else if (a == "--wrapper") {
+    const std::string v = need();
+    if (v == "plain") opt.wrapper = core::WrapperKind::kPlain;
+    else if (v == "cache") opt.wrapper = core::WrapperKind::kCacheBased;
+    else if (v == "tcm") opt.wrapper = core::WrapperKind::kTcmBased;
+    else bad_value("--wrapper", "plain|cache|tcm", v);
+  } else if (a == "--wa") {
+    const std::string v = need();
+    if (v == "on") opt.wa = 1;
+    else if (v == "off") opt.wa = 0;
+    else if (v == "both") opt.wa = 2;
+    else bad_value("--wa", "on|off|both", v);
+  } else if (a == "--perf") {
+    opt.perf = true;
+  } else if (a == "--core") {
+    const std::string v = need();
+    if (v == "A") opt.kind = isa::CoreKind::kA;
+    else if (v == "B") opt.kind = isa::CoreKind::kB;
+    else if (v == "C") opt.kind = isa::CoreKind::kC;
+    else bad_value("--core", "A|B|C", v);
+  } else if (a == "-q" || a == "--quiet") {
+    opt.quiet = true;
+  } else if (a == "-v" || a == "--verbose") {
+    opt.verbose = true;
+  } else if (a == "--json") {
+    opt.json = true;
+  } else if (a == "--list") {
+    opt.list = true;
+  } else if (a == "--fixtures") {
+    opt.fixtures_selfcheck = true;
+  } else if (a == "--fixture") {
+    opt.fixture = need();
+  } else if (a == "--matrix") {
+    opt.matrix = true;
+  } else if (a == "--golden") {
+    opt.golden = need();
+  } else if (a == "--sarif") {
+    opt.sarif_path = need();
+  } else if (a == "--xval") {
+    opt.xval_path = need();
+  } else if (a == "--cores") {
+    opt.cores = cli::require_unsigned("stlint", "--cores", need(), 1, 3);
+  } else if (a == "--version") {
+    cli::print_version("stlint");
+    std::exit(0);
+  } else {
+    return false;
   }
   return true;
 }
@@ -291,10 +263,12 @@ int run_xval(const Options& opt) {
 
 int main(int argc, char** argv) {
   Options opt;
-  if (!parse(argc, argv, opt)) {
-    usage(std::cerr);
-    return 2;
-  }
+  const auto parse = [&opt](const std::string& a, auto& need) {
+    return parse_option(a, need, opt);
+  };
+  if (const int rc = cli::parse_args("stlint", usage, argc - 1, argv + 1, parse);
+      rc >= 0)
+    return rc;
   if (opt.list) {
     std::cout << "routines:\n";
     for (const auto& r : routine_registry()) std::cout << "  " << r.name << "\n";

@@ -233,15 +233,7 @@ int cmd_run(int argc, char** argv, const char* argv0) {
 int cmd_worker(int argc, char** argv) {
   serve::WorkerArgs wa;
   std::string spec_path;
-  for (int i = 0; i < argc; ++i) {
-    const std::string a = argv[i];
-    auto need = [&]() -> std::string {
-      if (i + 1 >= argc) {
-        std::fprintf(stderr, "%s: %s requires a value\n", kTool, a.c_str());
-        std::exit(2);
-      }
-      return argv[++i];
-    };
+  const auto parse = [&](const std::string& a, auto& need) {
     if (a == "--spec") {
       spec_path = need();
     } else if (a == "--shard") {
@@ -261,16 +253,18 @@ int cmd_worker(int argc, char** argv) {
       const std::size_t colon = v.rfind(':');
       if (colon == std::string::npos) {
         std::fprintf(stderr, "%s: --chaos-self expects ACTION:N\n", kTool);
-        return cli::kExitUsage;
+        std::exit(cli::kExitUsage);
       }
       wa.chaos_action = v.substr(0, colon);
       wa.chaos_after =
           cli::require_u64(kTool, "--chaos-self", v.substr(colon + 1), 1, ~0ull);
     } else {
-      std::fprintf(stderr, "%s: unknown worker option '%s'\n", kTool, a.c_str());
-      return cli::kExitUsage;
+      return false;
     }
-  }
+    return true;
+  };
+  if (const int rc = cli::parse_args(kTool, usage, argc, argv, parse); rc >= 0)
+    return rc;
   if (spec_path.empty() || wa.dir.empty() || wa.heartbeat.empty() ||
       wa.end <= wa.begin) {
     std::fprintf(stderr, "%s: --worker requires --spec, --dir, --heartbeat and "
