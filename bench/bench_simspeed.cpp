@@ -7,7 +7,8 @@
 // halt on one core, then the plain routines to halt on all three contended
 // cores, `--probe-reps` times — so the "sim" subtree of BENCH_simspeed.json
 // is byte-identical run to run and only the host timings move. The gbench
-// timings stay for interactive use; the gate compares probe runs only.
+// timings stay for interactive use; the gate compares probe runs only
+// (scripts/perf_ab.sh: base vs HEAD on one host).
 //
 //   bench_simspeed --probe-only --metrics-out BENCH_simspeed.json
 //   stlperf check BENCH_simspeed.json --baseline bench/baselines/BENCH_simspeed.json

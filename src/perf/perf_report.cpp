@@ -403,6 +403,9 @@ std::string render_diff(const PerfReport& baseline, const PerfReport& current,
   for (const std::string& n : cmp.notes) out += "note: " + n + "\n";
   if (!cmp.comparable) {
     out += "stlperf: NOT COMPARABLE\n";
+  } else if (cmp.determinism_break()) {
+    out += "stlperf: DETERMINISM BREAK — sim subtree diverged under the same "
+           "config hash\n";
   } else if (cmp.regressed(threshold_pct)) {
     out += "stlperf: REGRESSION — sim-MHz dropped " +
            TextTable::fmt_fixed(cmp.regression_pct, 1) + "% (threshold " +

@@ -91,6 +91,11 @@ struct CompareOutcome {
   bool regressed(double threshold_pct) const {
     return regression_pct > threshold_pct;
   }
+  /// Same workload (config hash), different simulated result: the simulator
+  /// lost determinism. Fails a gate whatever the timing says.
+  bool determinism_break() const {
+    return comparable && !config_changed && !sim_identical;
+  }
 };
 
 CompareOutcome compare_reports(const PerfReport& baseline,

@@ -7,14 +7,14 @@
 //
 // diff and check share the regression semantics: exit 0 when the current
 // sim-MHz is within --threshold percent (default 15) of the baseline, exit 1
-// on a regression or when the reports are not comparable (different bench
-// name or schema), exit 2 on usage errors and unreadable/malformed files
-// (tools/cli_util.h exit-code contract). A config-hash mismatch is reported
-// as a note — the workload changed, so a slowdown may be intentional — but
-// still gates on the threshold.
+// on a regression, when the reports are not comparable (different bench
+// name or schema), or when the sim subtree diverged under the same config
+// hash (a determinism break), exit 2 on usage errors and unreadable/malformed
+// files (tools/cli_util.h exit-code contract). A config-hash mismatch is
+// reported as a note — the workload changed, so a slowdown may be
+// intentional — but still gates on the threshold.
 
 #include <cstdio>
-#include <cstring>
 #include <string>
 #include <vector>
 
@@ -22,6 +22,8 @@
 #include "perf/perf_report.h"
 
 namespace {
+
+constexpr const char* kTool = "stlperf";
 
 using detstl::cli::kExitFailure;
 using detstl::cli::kExitSuccess;
@@ -37,6 +39,7 @@ void usage(std::FILE* to) {
                "  report   validate a BENCH_<name>.json and render it as tables\n"
                "  diff     compare two reports; exit 1 when CURRENT's sim-MHz\n"
                "           dropped more than PCT%% (default 15) below BASELINE\n"
+               "           or its sim subtree diverged under the same config\n"
                "  check    diff against a committed baseline (the CI perf gate)\n");
 }
 
@@ -55,7 +58,7 @@ detstl::perf::PerfReport load_or_die(const std::string& path) {
 /// Threshold in percent; strict like the numeric options of the other tools.
 double parse_threshold(const std::string& text) {
   const unsigned long long v =
-      detstl::cli::require_u64("stlperf", "--threshold", text, 0, 1000);
+      detstl::cli::require_u64(kTool, "--threshold", text, 0, 1000);
   return static_cast<double>(v);
 }
 
@@ -77,49 +80,32 @@ int cmd_compare(const std::string& baseline_path, const std::string& current_pat
       detstl::perf::compare_reports(baseline, current);
   std::fputs(detstl::perf::render_diff(baseline, current, cmp, threshold).c_str(),
              stdout);
-  if (!cmp.comparable) return kExitFailure;
-  return cmp.regressed(threshold) ? kExitFailure : kExitSuccess;
+  const bool failed = !cmp.comparable || cmp.determinism_break() ||
+                      cmp.regressed(threshold);
+  return failed ? kExitFailure : kExitSuccess;
 }
 
-int cmd_diff(const std::vector<std::string>& args) {
-  std::vector<std::string> files;
-  double threshold = 15.0;
-  for (std::size_t i = 0; i < args.size(); ++i) {
-    if (args[i] == "--threshold" && i + 1 < args.size())
-      threshold = parse_threshold(args[++i]);
-    else if (args[i].rfind("--", 0) == 0) {
-      std::fprintf(stderr, "stlperf: unknown option '%s'\n", args[i].c_str());
-      return kExitUsage;
-    } else
-      files.push_back(args[i]);
-  }
-  if (files.size() != 2) {
-    usage(stderr);
-    return kExitUsage;
-  }
-  return cmd_compare(files[0], files[1], threshold);
-}
-
-int cmd_check(const std::vector<std::string>& args) {
+/// diff (BASELINE CURRENT) and check (CURRENT --baseline FILE) share one
+/// option set; every non-option argument is a report file.
+int cmd_diff_or_check(int argc, char** argv, bool check) {
   std::vector<std::string> files;
   std::string baseline;
   double threshold = 15.0;
-  for (std::size_t i = 0; i < args.size(); ++i) {
-    if (args[i] == "--baseline" && i + 1 < args.size())
-      baseline = args[++i];
-    else if (args[i] == "--threshold" && i + 1 < args.size())
-      threshold = parse_threshold(args[++i]);
-    else if (args[i].rfind("--", 0) == 0) {
-      std::fprintf(stderr, "stlperf: unknown option '%s'\n", args[i].c_str());
-      return kExitUsage;
-    } else
-      files.push_back(args[i]);
-  }
-  if (files.size() != 1 || baseline.empty()) {
+  const auto parse = [&](const std::string& a, auto& need) {
+    if (a == "--threshold") threshold = parse_threshold(need());
+    else if (check && a == "--baseline") baseline = need();
+    else if (a.rfind("--", 0) == 0) return false;
+    else files.push_back(a);
+    return true;
+  };
+  if (const int rc = detstl::cli::parse_args(kTool, usage, argc, argv, parse); rc >= 0)
+    return rc;
+  if (check ? files.size() != 1 || baseline.empty() : files.size() != 2) {
     usage(stderr);
     return kExitUsage;
   }
-  return cmd_compare(baseline, files[0], threshold);
+  return check ? cmd_compare(baseline, files[0], threshold)
+               : cmd_compare(files[0], files[1], threshold);
 }
 
 }  // namespace
@@ -142,8 +128,8 @@ int main(int argc, char** argv) {
   const std::string cmd = args[0];
   args.erase(args.begin());
   if (cmd == "report") return cmd_report(args);
-  if (cmd == "diff") return cmd_diff(args);
-  if (cmd == "check") return cmd_check(args);
+  if (cmd == "diff") return cmd_diff_or_check(argc - 2, argv + 2, false);
+  if (cmd == "check") return cmd_diff_or_check(argc - 2, argv + 2, true);
   std::fprintf(stderr, "stlperf: unknown command '%s'\n", cmd.c_str());
   usage(stderr);
   return kExitUsage;
