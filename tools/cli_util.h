@@ -1,7 +1,7 @@
 #pragma once
-// Strict CLI parsing shared by the detstl tools (stlint, detscope, stlrun,
-// stlserve). Malformed or out-of-range values are usage errors — reported
-// on stderr with exit code 2 — never silently clamped or ignored.
+// Strict CLI parsing shared by the detstl tools (stlint, detscope, stlperf,
+// stlrun, stlserve). Malformed or out-of-range values are usage errors —
+// reported on stderr with exit code 2 — never silently clamped or ignored.
 //
 // Exit-code contract (all tools and table benches):
 //   0  completed successfully
