@@ -15,7 +15,6 @@
 
 #include <benchmark/benchmark.h>
 
-#include <cstring>
 #include <string>
 #include <vector>
 
@@ -165,6 +164,12 @@ void BM_SocCheckpointCopy(benchmark::State& state) {
 }
 BENCHMARK(BM_SocCheckpointCopy)->Unit(benchmark::kMicrosecond);
 
+void usage(std::FILE* out) {
+  std::fprintf(out,
+               "usage: bench_simspeed [--probe-only] [--probe-reps N] "
+               "[--metrics-out FILE] [google-benchmark flags]\n");
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -173,27 +178,31 @@ int main(int argc, char** argv) {
   bench::BenchOptions opts;
   bool probe_only = false;
   unsigned reps = 1;
-  std::vector<char*> fwd = {argv[0]};
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--metrics-out") == 0 && i + 1 < argc) {
-      opts.metrics_out = argv[++i];
-    } else if (std::strcmp(argv[i], "--profile") == 0) {
-      opts.profile = true;
-    } else if (std::strcmp(argv[i], "--probe-only") == 0) {
-      probe_only = true;
-    } else if (std::strcmp(argv[i], "--probe-reps") == 0 && i + 1 < argc) {
-      reps = bench::parse_unsigned_or_die("--probe-reps", argv[++i]);
-    } else {
-      fwd.push_back(argv[i]);
-    }
-  }
-  if (reps == 0) reps = 1;
+  std::vector<std::string> gbench_args;
+  const int parsed = cli::parse_args(
+      "bench_simspeed", usage, argc - 1, argv + 1,
+      [&](const std::string& a, auto& need) {
+        if (a == "--metrics-out") {
+          opts.metrics_out = need();
+        } else if (a == "--probe-only") {
+          probe_only = true;
+        } else if (a == "--probe-reps") {
+          reps = cli::require_unsigned("bench_simspeed", "--probe-reps", need(),
+                                       1, 1'000'000);
+        } else {
+          gbench_args.push_back(a);
+        }
+        return true;
+      });
+  if (parsed >= 0) return parsed;
 
   if (probe_only || !opts.metrics_out.empty()) {
     const int rc = run_probe(opts, reps);
     if (probe_only || rc != 0) return rc;
   }
 
+  std::vector<char*> fwd = {argv[0]};
+  for (std::string& a : gbench_args) fwd.push_back(a.data());
   int fwd_argc = static_cast<int>(fwd.size());
   benchmark::Initialize(&fwd_argc, fwd.data());
   if (benchmark::ReportUnrecognizedArguments(fwd_argc, fwd.data())) return 2;

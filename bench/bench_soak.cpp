@@ -32,22 +32,9 @@ int main(int argc, char** argv) {
   spec.runs = bench::env_unsigned("DETSTL_SOAK_RUNS", 24);
   spec.seed = bench::env_unsigned("DETSTL_SOAK_SEED", 0x5EA5BEAC);
   spec.threads = opts.threads;
-  if (!opts.checkpoint_dir.empty()) {
-    spec.checkpoint.dir = opts.checkpoint_dir;
-    spec.checkpoint.interval = opts.checkpoint_interval;
-    spec.checkpoint.resume = opts.resume;
-    spec.checkpoint.fsync = opts.no_fsync ? fault::FsyncPolicy::kNone
-                                          : fault::FsyncPolicy::kEveryShard;
-  }
-  if (!opts.checkpoint_dir.empty() || opts.interrupt_after != 0 ||
-      opts.timeout != 0) {
-    spec.interrupt = &fault::global_interrupt();
-    spec.interrupt->clear();
-    if (opts.interrupt_after != 0)
-      spec.interrupt->arm_after(opts.interrupt_after);
-    fault::install_drain_handlers();
-    if (opts.timeout != 0) fault::arm_wallclock_timeout(opts.timeout);
-  }
+  spec.checkpoint = opts.checkpoint();
+  spec.interrupt = cli::arm_drain(!opts.checkpoint_dir.empty(),
+                                  opts.interrupt_after, opts.timeout);
 
   session.hash_knob("runs", spec.runs);
   session.hash_knob("seed", spec.seed);

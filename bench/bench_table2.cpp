@@ -23,7 +23,7 @@ int main(int argc, char** argv) {
       "A: 53,298 faults, 64.14-75.19% no-cache, 79.61% cached; "
       "B: 57,506, 63.61-79.59%, 82.08%; C: 113,212, 56.24-66.48%, 68.79%");
 
-  const unsigned stride = bench::env_unsigned("DETSTL_FAULT_STRIDE", 1);
+  const unsigned stride = bench::env_unsigned("DETSTL_FAULT_STRIDE", 1, 1);
   const unsigned scenarios = bench::env_unsigned("DETSTL_SCENARIOS", 0);
   bench::PerfSession perf(opts, "table2");
   perf.hash_knob("fault_stride", stride);

@@ -24,7 +24,7 @@ int main(int argc, char** argv) {
       "A: ICU 46.57->51.36%, HDCU 62.53->70.37%; B: ICU 46.39->50.97%, "
       "HDCU 63.84->70.12%; C: ICU 54.94->60.91%, HDCU 65.66->68.09%");
 
-  const unsigned stride = bench::env_unsigned("DETSTL_FAULT_STRIDE", 1);
+  const unsigned stride = bench::env_unsigned("DETSTL_FAULT_STRIDE", 1, 1);
   bench::PerfSession perf(opts, "table3");
   perf.hash_knob("fault_stride", stride);
   const auto t0 = std::chrono::steady_clock::now();

@@ -1,7 +1,6 @@
 #pragma once
 // Shared helpers for the table-reproduction binaries.
 
-#include <cerrno>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -13,32 +12,28 @@
 #include "exp/experiments.h"
 #include "perf/collect.h"
 #include "perf/perf_report.h"
-#include "perf/profiler.h"
 #include "perf/sampler.h"
 #include "perf/simstats.h"
 #include "trace/chrome_trace.h"
 
+#include "cli_util.h"
+
 namespace detstl::bench {
 
-/// Strict unsigned parse: digits only, no trailing junk. Exits 2 on garbage
-/// so a typo'd DETSTL_THREADS or --threads never silently becomes 0.
-inline unsigned parse_unsigned_or_die(const char* what, const char* text) {
-  char* end = nullptr;
-  errno = 0;
-  const unsigned long v = std::strtoul(text, &end, 10);
-  if (errno != 0 || end == text || *end != '\0' || *text == '-') {
-    std::fprintf(stderr, "error: %s expects an unsigned integer, got '%s'\n",
-                 what, text);
-    std::exit(2);
-  }
-  return static_cast<unsigned>(v);
-}
-
 /// Environment-variable override with default (fault-sampling stride etc.).
-inline unsigned env_unsigned(const char* name, unsigned def) {
+/// Parsed by the tools' rule (cli::parse_u64) within [lo, hi]; exits 2 on
+/// garbage so a typo'd DETSTL_THREADS never silently becomes another count.
+inline unsigned env_unsigned(const char* name, unsigned def, unsigned lo = 0,
+                             unsigned hi = ~0u) {
   const char* v = std::getenv(name);
   if (v == nullptr || *v == '\0') return def;
-  return parse_unsigned_or_die(name, v);
+  unsigned long long n = 0;
+  if (!cli::parse_u64(v, lo, hi, n)) {
+    std::fprintf(stderr, "error: %s expects an integer in [%u, %u], got '%s'\n",
+                 name, lo, hi, v);
+    std::exit(cli::kExitUsage);
+  }
+  return static_cast<unsigned>(n);
 }
 
 /// Command-line options shared by the table benches.
@@ -48,58 +43,77 @@ struct BenchOptions {
   std::string trace_path;   // --trace FILE: Chrome-trace JSON of the run
   // stlperf trajectory (src/perf/perf_report.h, tools/stlperf.cpp).
   std::string metrics_out;  // --metrics-out FILE: BENCH_<name>.json
-  bool profile = false;     // --profile: subsystem profiler (slower; never
-                            // combined with the sim-MHz gate numbers)
   // Crash-safe checkpoint/resume (fault/checkpoint.h); see the exit-code
   // contract in tools/cli_util.h — an interrupted bench exits 3 (resumable).
   std::string checkpoint_dir;      // --checkpoint-dir DIR (empty = off)
   unsigned checkpoint_interval = 256;  // --checkpoint-interval N
   bool resume = false;             // --resume
   bool no_fsync = false;           // --no-fsync
-  unsigned interrupt_after = 0;    // --interrupt-after N (drain drill)
+  u64 interrupt_after = 0;         // --interrupt-after N (drain drill)
   unsigned timeout = 0;            // --timeout SEC wall-clock budget (exit 3)
+
+  /// The checkpoint journal these options ask for (empty dir = off).
+  fault::CheckpointConfig checkpoint() const {
+    fault::CheckpointConfig c;
+    if (checkpoint_dir.empty()) return c;
+    c.dir = checkpoint_dir;
+    c.interval = checkpoint_interval;
+    c.resume = resume;
+    c.fsync = no_fsync ? fault::FsyncPolicy::kNone : fault::FsyncPolicy::kEveryShard;
+    return c;
+  }
 };
 
+inline void bench_usage(std::FILE* out) {
+  std::fprintf(out,
+               "options: [--progress] [--threads N] [--trace FILE]\n"
+               "         [--metrics-out FILE] [--timeout SEC]\n"
+               "         [--checkpoint-dir DIR [--checkpoint-interval N]\n"
+               "          [--resume] [--no-fsync] [--interrupt-after N]]\n");
+}
+
+/// Parse the shared bench options with the tools' strict parser
+/// (tools/cli_util.h): an unknown option or a malformed or out-of-range
+/// value exits 2, --help prints the options and exits 0.
 inline BenchOptions parse_options(int argc, char** argv) {
+  const char* slash = std::strrchr(argv[0], '/');
+  const char* tool = slash != nullptr ? slash + 1 : argv[0];
   BenchOptions o;
-  o.threads = env_unsigned("DETSTL_THREADS", 0);
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--progress") == 0) {
-      o.progress = true;
-    } else if (std::strcmp(argv[i], "--threads") == 0 && i + 1 < argc) {
-      o.threads = parse_unsigned_or_die("--threads", argv[++i]);
-    } else if (std::strcmp(argv[i], "--trace") == 0 && i + 1 < argc) {
-      o.trace_path = argv[++i];
-    } else if (std::strcmp(argv[i], "--metrics-out") == 0 && i + 1 < argc) {
-      o.metrics_out = argv[++i];
-    } else if (std::strcmp(argv[i], "--profile") == 0) {
-      o.profile = true;
-    } else if (std::strcmp(argv[i], "--checkpoint-dir") == 0 && i + 1 < argc) {
-      o.checkpoint_dir = argv[++i];
-    } else if (std::strcmp(argv[i], "--checkpoint-interval") == 0 && i + 1 < argc) {
-      o.checkpoint_interval =
-          parse_unsigned_or_die("--checkpoint-interval", argv[++i]);
-    } else if (std::strcmp(argv[i], "--resume") == 0) {
-      o.resume = true;
-    } else if (std::strcmp(argv[i], "--no-fsync") == 0) {
-      o.no_fsync = true;
-    } else if (std::strcmp(argv[i], "--interrupt-after") == 0 && i + 1 < argc) {
-      o.interrupt_after = parse_unsigned_or_die("--interrupt-after", argv[++i]);
-    } else if (std::strcmp(argv[i], "--timeout") == 0 && i + 1 < argc) {
-      o.timeout = parse_unsigned_or_die("--timeout", argv[++i]);
-    } else {
-      std::fprintf(stderr,
-                   "usage: %s [--progress] [--threads N] [--trace FILE]\n"
-                   "          [--metrics-out FILE] [--profile] [--timeout SEC]\n"
-                   "          [--checkpoint-dir DIR [--checkpoint-interval N]\n"
-                   "           [--resume] [--no-fsync] [--interrupt-after N]]\n",
-                   argv[0]);
-      std::exit(2);
-    }
-  }
+  o.threads = env_unsigned("DETSTL_THREADS", 0, 0, 256);
+  const int rc = cli::parse_args(
+      tool, bench_usage, argc - 1, argv + 1,
+      [&](const std::string& a, auto& need) {
+        if (a == "--progress") {
+          o.progress = true;
+        } else if (a == "--threads") {
+          o.threads = cli::require_unsigned(tool, "--threads", need(), 0, 256);
+        } else if (a == "--trace") {
+          o.trace_path = need();
+        } else if (a == "--metrics-out") {
+          o.metrics_out = need();
+        } else if (a == "--checkpoint-dir") {
+          o.checkpoint_dir = need();
+        } else if (a == "--checkpoint-interval") {
+          o.checkpoint_interval = cli::require_unsigned(
+              tool, "--checkpoint-interval", need(), 1, 1'000'000);
+        } else if (a == "--resume") {
+          o.resume = true;
+        } else if (a == "--no-fsync") {
+          o.no_fsync = true;
+        } else if (a == "--interrupt-after") {
+          o.interrupt_after =
+              cli::require_u64(tool, "--interrupt-after", need(), 1, ~0ull);
+        } else if (a == "--timeout") {
+          o.timeout = cli::require_unsigned(tool, "--timeout", need(), 1, 86'400);
+        } else {
+          return false;
+        }
+        return true;
+      });
+  if (rc >= 0) std::exit(rc);
   if (o.resume && o.checkpoint_dir.empty()) {
     std::fprintf(stderr, "error: --resume requires --checkpoint-dir\n");
-    std::exit(2);
+    std::exit(cli::kExitUsage);
   }
   // Probe the output paths up front: a bench can run for minutes, and an
   // unwritable destination should fail before the campaign, not after it.
@@ -109,7 +123,7 @@ inline BenchOptions parse_options(int argc, char** argv) {
     if (f == nullptr) {
       std::fprintf(stderr, "error: cannot open output file %s for writing\n",
                    path->c_str());
-      std::exit(2);
+      std::exit(cli::kExitUsage);
     }
     std::fclose(f);
   }
@@ -177,20 +191,9 @@ inline exp::ExecOptions exec_options(const BenchOptions& o,
       std::fprintf(stderr, "\r%s\033[K\n", line.c_str());
     };
   }
-  if (!o.checkpoint_dir.empty()) {
-    e.checkpoint.dir = o.checkpoint_dir;
-    e.checkpoint.interval = o.checkpoint_interval;
-    e.checkpoint.resume = o.resume;
-    e.checkpoint.fsync =
-        o.no_fsync ? fault::FsyncPolicy::kNone : fault::FsyncPolicy::kEveryShard;
-  }
-  if (!o.checkpoint_dir.empty() || o.interrupt_after != 0 || o.timeout != 0) {
-    e.interrupt = &fault::global_interrupt();
-    e.interrupt->clear();
-    if (o.interrupt_after != 0) e.interrupt->arm_after(o.interrupt_after);
-    fault::install_drain_handlers();
-    if (o.timeout != 0) fault::arm_wallclock_timeout(o.timeout);
-  }
+  e.checkpoint = o.checkpoint();
+  e.interrupt = cli::arm_drain(!o.checkpoint_dir.empty(), o.interrupt_after,
+                               o.timeout);
   return e;
 }
 
@@ -212,9 +215,8 @@ auto run_resumable(Fn&& fn) -> decltype(fn()) {
 }
 
 /// Brackets one bench invocation for the stlperf trajectory: sim-work deltas
-/// (perf/simstats.h) and wall-clock per phase, host usage, the workload
-/// config hash and an optional profiler snapshot, emitted as one
-/// BENCH_<name>.json via --metrics-out. Construct before the workload, call
+/// (perf/simstats.h) and wall-clock per phase, host usage and the workload
+/// config hash, emitted as one BENCH_<name>.json via --metrics-out. Construct before the workload, call
 /// mark_phase() after each section, and return finish(exit_code) from main.
 /// Without --metrics-out the bookkeeping still runs (it is two snapshots per
 /// phase) but nothing is written.
@@ -223,10 +225,6 @@ class PerfSession {
   PerfSession(const BenchOptions& o, const std::string& name)
       : opts_(o), name_(name) {
     hash_.str(name);
-    if (opts_.profile) {
-      perf::prof_reset();
-      perf::set_prof_enabled(true);
-    }
     start_ = phase_start_ = perf::sim_totals().snapshot();
     phase_wall_s_ = 0.0;
   }
@@ -253,7 +251,6 @@ class PerfSession {
   /// Close the trailing phase, write the report (when --metrics-out) and
   /// pass `exit_code` through — `return perf_session.finish(rc);`.
   int finish(int exit_code) {
-    if (opts_.profile) perf::set_prof_enabled(false);
     const perf::SimSnapshot end = perf::sim_totals().snapshot();
     if (end.since(phase_start_).sim_cycles() != 0)
       mark_phase(phases_.empty() ? "all" : "tail");
@@ -273,10 +270,6 @@ class PerfSession {
     rep.peak_rss_kb = u.peak_rss_kb;
     perf::collect_sim_totals(rep.metrics, delta);
     perf::collect_host_usage(rep.metrics, u);
-    if (opts_.profile) {
-      rep.profiled = true;
-      rep.profile = perf::prof_snapshot();
-    }
     if (!perf::write_report_file(opts_.metrics_out, rep)) {
       std::fprintf(stderr, "error: cannot write metrics file %s\n",
                    opts_.metrics_out.c_str());

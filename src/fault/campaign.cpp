@@ -9,7 +9,6 @@
 #include "common/bytes.h"
 #include "fault/units.h"
 #include "netlist/screening.h"
-#include "perf/profiler.h"
 #include "perf/simstats.h"
 
 namespace detstl::fault {
@@ -434,13 +433,10 @@ CampaignResult Campaign::run() {
     }
     LaneGroupScreen screen(*nl, *outs, {faults.data() + base, n});
     std::size_t replayed = 0;
-    {
-      DETSTL_PROF_SCOPE(perf::ProfScope::kNetlistScreen);
-      for (; replayed < ncalls && !screen.done(); ++replayed) {
-        encode_call(replayed, screen.state());
-        screen.observe(replayed);
-        if (cfg_.module == Module::kIcu) screen.clock();
-      }
+    for (; replayed < ncalls && !screen.done(); ++replayed) {
+      encode_call(replayed, screen.state());
+      screen.observe(replayed);
+      if (cfg_.module == Module::kIcu) screen.clock();
     }
     screen_calls_total.fetch_add(replayed, std::memory_order_relaxed);
     perf::sim_totals().add(perf::SimStat::kScreenCalls, replayed);
@@ -475,10 +471,7 @@ CampaignResult Campaign::run() {
         [](std::size_t call, const Checkpoint& c) { return call < c.call_idx; });
     const Checkpoint& cp = *std::prev(it);  // cps[0].call_idx == 0 <= any call
 
-    soc::Soc s = [&cp]() -> soc::Soc {
-      DETSTL_PROF_SCOPE(perf::ProfScope::kSnapshotRestore);
-      return cp.soc;
-    }();
+    soc::Soc s = cp.soc;
     const u64 resume_cycle = s.now();
     // The checkpoint copy carries the good run's sink; faulty replicas run on
     // worker threads and must never emit (trace/event.h checkpoint contract).

@@ -1,6 +1,7 @@
 #include "fault/checkpoint.h"
 
 #include <algorithm>
+#include <chrono>
 #include <csignal>
 #include <cstdio>
 #include <cstring>
@@ -18,8 +19,6 @@
 #include "common/bytes.h"
 #include "common/version.h"
 #include "mem/memmap.h"
-#include "perf/profiler.h"
-#include "perf/sampler.h"
 #include "netlist/netlist.h"
 #include "soc/soc.h"
 #include "trace/event.h"
@@ -319,7 +318,6 @@ LoadedCheckpoint load_checkpoint(const CheckpointConfig& cfg, PayloadKind kind,
                                  u64 config_hash, trace::EventSink* sink) {
   LoadedCheckpoint out;
   if (!cfg.enabled()) return out;
-  DETSTL_PROF_SCOPE(perf::ProfScope::kCheckpointIO);
   const fs::path dir = cfg.dir;
   u64 seq = 0;
 
@@ -488,8 +486,7 @@ void CheckpointWriter::flush() {
 
 void CheckpointWriter::flush_locked() {
   if (pending_.empty()) return;
-  DETSTL_PROF_SCOPE(perf::ProfScope::kCheckpointIO);
-  const u64 flush_t0 = perf::detail::prof_now_ns();
+  const auto flush_t0 = std::chrono::steady_clock::now();
   std::vector<u8> payload;
   for (const ShardRecord& r : pending_) {
     put64(payload, r.index);
@@ -513,8 +510,11 @@ void CheckpointWriter::flush_locked() {
             static_cast<u32>(pending_.size()), shard);
   pending_.clear();
   flushed_.fetch_add(1, std::memory_order_relaxed);
-  flush_ns_.fetch_add(perf::detail::prof_now_ns() - flush_t0,
-                      std::memory_order_relaxed);
+  flush_ns_.fetch_add(
+      static_cast<u64>(std::chrono::duration_cast<std::chrono::nanoseconds>(
+                           std::chrono::steady_clock::now() - flush_t0)
+                           .count()),
+      std::memory_order_relaxed);
 }
 
 }  // namespace detstl::fault

@@ -121,24 +121,6 @@ std::string to_json(const PerfReport& rep) {
   out += rep.phases.empty() ? "],\n" : "\n    ],\n";
   out += "    \"metrics\": [";
   emit_metric_list(out, rep.metrics, MetricSource::kHost, "      ");
-  out += "],\n";
-  out += "    \"profiled\": " + std::string(rep.profiled ? "true" : "false") +
-         ",\n";
-  out += "    \"profile\": [";
-  if (rep.profiled) {
-    bool first = true;
-    for (unsigned i = 0; i < kNumProfScopes; ++i) {
-      const ScopeTotals& s = rep.profile.scopes[i];
-      if (s.calls == 0) continue;
-      out += first ? "\n" : ",\n";
-      first = false;
-      out += "      {\"scope\": \"";
-      out += prof_scope_name(static_cast<ProfScope>(i));
-      out += "\", \"calls\": " + std::to_string(s.calls) +
-             ", \"ns\": " + std::to_string(s.ns) + "}";
-    }
-    if (!first) out += "\n    ";
-  }
   out += "]\n";
   out += "  }\n";
   out += "}\n";
@@ -267,21 +249,6 @@ bool from_json(const std::string& text, PerfReport& out, std::string* err) {
     if (!parse_metric_list(*v, MetricSource::kHost, rep.metrics, err))
       return false;
   }
-  if (const json::Value* v = host->find("profiled"); v != nullptr)
-    rep.profiled = v->boolean;
-  if (const json::Value* v = host->find("profile"); v != nullptr && v->is_array()) {
-    for (const json::Value& e : v->arr) {
-      const json::Value* scope = e.find("scope");
-      if (scope == nullptr) continue;
-      for (unsigned i = 0; i < kNumProfScopes; ++i) {
-        if (scope->str != prof_scope_name(static_cast<ProfScope>(i))) continue;
-        if (const json::Value* c = e.find("calls"); c != nullptr)
-          rep.profile.scopes[i].calls = c->as_u64();
-        if (const json::Value* n = e.find("ns"); n != nullptr)
-          rep.profile.scopes[i].ns = n->as_u64();
-      }
-    }
-  }
   out = std::move(rep);
   return true;
 }
@@ -335,7 +302,6 @@ std::string render_report(const PerfReport& rep) {
     out += pt.str();
   }
   if (!rep.metrics.empty()) out += rep.metrics.render();
-  if (rep.profiled) out += rep.profile.render(rep.wall_s);
   return out;
 }
 

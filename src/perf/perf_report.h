@@ -10,15 +10,14 @@
 //    bytes; tests/test_perf.cpp enforces the invariance at 1/2/8 threads).
 //  * the top-level "host" object holds everything timing-dependent:
 //    wall-clock, CPU time, peak RSS, sim-MHz, per-phase wall times,
-//    kHost-tagged metrics and the optional profiler snapshot. It may vary
-//    freely between runs and is ignored by the determinism checks.
+//    kHost-tagged metrics. It may vary freely between runs and is ignored
+//    by the determinism checks; unknown host keys are skipped on load.
 // Consumers must reject reports whose "stlperf_schema" they don't know.
 
 #include <string>
 #include <vector>
 
 #include "perf/metrics.h"
-#include "perf/profiler.h"
 
 namespace detstl::perf {
 
@@ -49,8 +48,6 @@ struct PerfReport {
   double wall_s = 0.0;
   double cpu_s = 0.0;
   long peak_rss_kb = 0;
-  bool profiled = false;
-  ProfSnapshot profile;
 
   /// The KPI: simulated cycles per host second, in MHz.
   double sim_mhz() const {
@@ -73,8 +70,7 @@ bool write_report_file(const std::string& path, const PerfReport& rep);
 bool load_report_file(const std::string& path, PerfReport& out,
                       std::string* err = nullptr);
 
-/// Human rendering: summary table + metric table (+ hotspot table when
-/// profiled).
+/// Human rendering: summary table + phase table + metric table.
 std::string render_report(const PerfReport& rep);
 
 /// stlperf diff/check semantics.

@@ -1,8 +1,8 @@
 #include "serve/spec.h"
 
 #include <cstdio>
-#include <cstdlib>
 
+#include "common/parse.h"
 #include "perf/json.h"
 
 namespace detstl::serve {
@@ -11,17 +11,17 @@ namespace {
 
 using perf::json::Value;
 
-/// Range-checked unsigned field; mirrors the bounds of stlrun's flags.
+/// Range-checked unsigned field; mirrors the bounds and the parse rule of
+/// stlrun's flags. The number's text must be a plain decimal integer:
+/// Value::as_u64() would read 2.9 as 2 and 1e3 as 1. Leading zeros are not
+/// JSON and are refused, so parse_u64 never reads the text as octal.
 bool take_unsigned(const Value& v, const char* key, u64 lo, u64 hi, u64& out,
                    std::string* err) {
-  if (!v.is_number()) {
-    if (err) *err = std::string("spec: \"") + key + "\" must be a number";
-    return false;
-  }
-  const u64 n = v.as_u64();
-  if (n < lo || n > hi || v.number < 0) {
+  unsigned long long n = 0;
+  if (!v.is_number() || (v.raw.size() > 1 && v.raw[0] == '0') ||
+      !parse_u64(v.raw, lo, hi, n)) {
     if (err)
-      *err = std::string("spec: \"") + key + "\" out of range [" +
+      *err = std::string("spec: \"") + key + "\" must be an integer in [" +
              std::to_string(lo) + ", " + std::to_string(hi) + "]";
     return false;
   }
@@ -59,16 +59,19 @@ bool parse_spec(const std::string& json_text, ServeSpec& out, std::string* err) 
       s.stride = static_cast<unsigned>(n);
     } else if (key == "seed") {
       // A JSON number or a hex/decimal string ("0xd171" survives tooling
-      // that would round a 64-bit number through a double).
+      // that would round a 64-bit number through a double). Non-zero, as
+      // stlrun requires of --seed.
       if (v.is_number()) {
-        s.seed = v.as_u64();
-      } else if (v.is_string() && !v.str.empty()) {
-        char* end = nullptr;
-        s.seed = std::strtoull(v.str.c_str(), &end, 0);
-        if (end == nullptr || *end != '\0') {
-          if (err) *err = "spec: \"seed\" string is not a number";
+        if (!take_unsigned(v, "seed", 1, ~0ull, n, err)) return false;
+        s.seed = n;
+      } else if (v.is_string()) {
+        unsigned long long seed = 0;
+        if (!parse_u64(v.str, 1, ~0ull, seed)) {
+          if (err)
+            *err = "spec: \"seed\" string is not a non-zero unsigned number";
           return false;
         }
+        s.seed = seed;
       } else {
         if (err) *err = "spec: \"seed\" must be a number or a numeric string";
         return false;

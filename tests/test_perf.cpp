@@ -1,9 +1,8 @@
 // stlperf observability subsystem (src/perf/): registry determinism, the
 // sim/host JSON schema split and its round-trip, the regression-compare
-// semantics behind `stlperf diff/check`, the subsystem profiler's cost
-// contract, and the headline invariance the whole PR rests on — the "sim"
-// subtree of a campaign's report is byte-identical at 1, 2 and 8 worker
-// threads (only host timings may move).
+// semantics behind `stlperf diff/check`, and the headline invariance the
+// whole subsystem rests on — the "sim" subtree of a campaign's report is
+// byte-identical at 1, 2 and 8 worker threads (only host timings may move).
 
 #include <gtest/gtest.h>
 
@@ -18,7 +17,6 @@
 #include "perf/json.h"
 #include "perf/metrics.h"
 #include "perf/perf_report.h"
-#include "perf/profiler.h"
 #include "perf/sampler.h"
 #include "perf/simstats.h"
 #include "runtime/campaign.h"
@@ -149,6 +147,23 @@ TEST(PerfJson, RoundTripPreservesEverything) {
   EXPECT_EQ(sim_canonical(rep), sim_canonical(back));
   EXPECT_EQ(rep.metrics.sim_fingerprint(), back.metrics.sim_fingerprint());
   EXPECT_EQ(to_json(back), text);
+
+  // Reports written before the subsystem profiler was removed carry
+  // "profiled" and a hotspot "profile" list in the host subtree. They still
+  // load, and re-serialising drops both keys.
+  const std::string tail = "]\n  }\n}\n";
+  ASSERT_EQ(text.compare(text.size() - tail.size(), tail.size(), tail), 0);
+  std::string legacy = text;
+  legacy.insert(text.size() - tail.size() + 1,
+                ",\n    \"profiled\": true,\n    \"profile\": [\n"
+                "      {\"scope\": \"cpu.fetch\", \"calls\": 3, \"ns\": 1200},\n"
+                "      {\"scope\": \"ckpt.io\", \"calls\": 1, \"ns\": 900}\n    ]");
+  PerfReport old;
+  ASSERT_TRUE(from_json(legacy, old, &err)) << err;
+  const std::string reserialised = to_json(old);
+  EXPECT_EQ(reserialised, text);
+  EXPECT_EQ(reserialised.find("\"profiled\""), std::string::npos);
+  EXPECT_EQ(reserialised.find("\"profile\""), std::string::npos);
 }
 
 TEST(PerfJson, UnknownSchemaVersionIsRejected) {
@@ -230,36 +245,6 @@ TEST(PerfCompare, ConfigHashMismatchIsNotedButStillGates) {
   EXPECT_TRUE(cmp.config_changed);
   EXPECT_FALSE(cmp.sim_identical);
   EXPECT_FALSE(cmp.notes.empty());
-}
-
-// ---------------------------------------------------------------------------
-// Profiler
-// ---------------------------------------------------------------------------
-
-TEST(Profiler, DisabledScopesRecordNothing) {
-  set_prof_enabled(false);
-  prof_reset();
-  { DETSTL_PROF_SCOPE(ProfScope::kFetch); }
-  { DETSTL_PROF_SCOPE(ProfScope::kFetch); }
-  const ProfSnapshot snap = prof_snapshot();
-  EXPECT_EQ(snap[ProfScope::kFetch].calls, 0u);
-  EXPECT_EQ(snap.total_ns(), 0u);
-}
-
-TEST(Profiler, EnabledScopesAccumulateCallsAndTime) {
-  prof_reset();
-  set_prof_enabled(true);
-  for (int i = 0; i < 10; ++i) {
-    DETSTL_PROF_SCOPE(ProfScope::kNetlistScreen);
-  }
-  set_prof_enabled(false);
-  const ProfSnapshot snap = prof_snapshot();
-  EXPECT_EQ(snap[ProfScope::kNetlistScreen].calls, 10u);
-  // A scope armed mid-lifetime only counts completed scopes; time is >= 0 by
-  // construction (monotonic clock), so just require the table renders.
-  const std::string table = snap.render(1.0);
-  EXPECT_NE(table.find("fault.screen"), std::string::npos);
-  prof_reset();
 }
 
 // ---------------------------------------------------------------------------

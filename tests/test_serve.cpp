@@ -101,6 +101,16 @@ TEST(ServeSpecJson, SeedAcceptsNumberAndString) {
   ASSERT_TRUE(parse_spec("{\"seed\": \"0xd171\"}", s, nullptr));
   EXPECT_EQ(s.seed, 0xD171u);
   EXPECT_FALSE(parse_spec("{\"seed\": \"0xd171 junk\"}", s, nullptr));
+  // Same rule as `stlrun --seed`: non-zero, and a string must start with a
+  // digit (no sign, no leading space wrapping to 0xffffffffffffffff).
+  for (const char* bad :
+       {"{\"seed\": 0}", "{\"seed\": 1e3}", "{\"seed\": -1}",
+        "{\"seed\": \"0\"}", "{\"seed\": \"0x0\"}", "{\"seed\": \"-1\"}",
+        "{\"seed\": \" -1\"}", "{\"seed\": \" 5\"}", "{\"seed\": \"+5\"}",
+        "{\"seed\": \"\"}", "{\"seed\": \"18446744073709551616\"}"})
+    EXPECT_FALSE(parse_spec(bad, s, nullptr)) << bad;
+  ASSERT_TRUE(parse_spec("{\"seed\": \"18446744073709551615\"}", s, nullptr));
+  EXPECT_EQ(s.seed, ~0ull);
 }
 
 TEST(ServeSpecJson, StrictParseRejectsBadInput) {
@@ -116,6 +126,11 @@ TEST(ServeSpecJson, StrictParseRejectsBadInput) {
   EXPECT_FALSE(parse_spec("{\"runs\": \"many\"}", s, &err));
   EXPECT_FALSE(parse_spec("{\"cores\": 4}", s, &err));
   EXPECT_FALSE(parse_spec("{\"permanent\": 101}", s, &err));
+  // Integral decimal numbers only: no truncation of 2.9 to 2 or 1e3 to 1.
+  EXPECT_FALSE(parse_spec("{\"runs\": 2.9}", s, &err));
+  EXPECT_FALSE(parse_spec("{\"runs\": 1e3}", s, &err));
+  EXPECT_FALSE(parse_spec("{\"runs\": 010}", s, &err));
+  EXPECT_FALSE(parse_spec("{\"runs\": -1}", s, &err));
   EXPECT_FALSE(parse_spec("{\"routines\": [1]}", s, &err));
   EXPECT_FALSE(parse_spec("{\"runs\": 8", s, &err));
   EXPECT_FALSE(parse_spec("[]", s, &err));

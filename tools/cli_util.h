@@ -13,12 +13,12 @@
 //      --interrupt-after drill) stopped the run after flushing a final
 //      checkpoint shard; re-run with --resume to continue.
 
-#include <cerrno>
 #include <cstdio>
 #include <cstdlib>
 #include <string>
 #include <vector>
 
+#include "common/parse.h"
 #include "common/version.h"
 #include "fault/checkpoint.h"
 
@@ -65,19 +65,7 @@ int parse_args(const char* tool, void (*usage)(std::FILE*), int argc,
   return -1;
 }
 
-/// Parse a decimal (or 0x-prefixed hex) unsigned integer in [lo, hi].
-/// Returns false on garbage, trailing characters, sign or range violation.
-inline bool parse_u64(const std::string& text, unsigned long long lo,
-                      unsigned long long hi, unsigned long long& out) {
-  if (text.empty() || text[0] == '-' || text[0] == '+') return false;
-  errno = 0;
-  char* end = nullptr;
-  const unsigned long long v = std::strtoull(text.c_str(), &end, 0);
-  if (errno != 0 || end == text.c_str() || *end != '\0') return false;
-  if (v < lo || v > hi) return false;
-  out = v;
-  return true;
-}
+using detstl::parse_u64;  // common/parse.h: digit-led, no sign or space
 
 /// Parse or exit(2) with a diagnostic naming the tool and the option.
 inline unsigned long long require_u64(const char* tool, const char* opt,
@@ -97,6 +85,23 @@ inline unsigned require_unsigned(const char* tool, const char* opt,
                                  const std::string& text, unsigned lo,
                                  unsigned hi) {
   return static_cast<unsigned>(require_u64(tool, opt, text, lo, hi));
+}
+
+/// Arm the cooperative drain when a run asked for one (a checkpoint journal,
+/// an --interrupt-after drill or a --timeout budget): clear the process-wide
+/// token, set the drill countdown, install the SIGINT/SIGTERM handlers and
+/// start the wall-clock budget. Returns the token for the executor's
+/// `interrupt`, or null when no drain was asked for.
+inline fault::InterruptToken* arm_drain(bool journalled,
+                                        unsigned long long interrupt_after,
+                                        unsigned timeout_s) {
+  if (!journalled && interrupt_after == 0 && timeout_s == 0) return nullptr;
+  fault::InterruptToken& token = fault::global_interrupt();
+  token.clear();
+  if (interrupt_after != 0) token.arm_after(interrupt_after);
+  fault::install_drain_handlers();
+  if (timeout_s != 0) fault::arm_wallclock_timeout(timeout_s);
+  return &token;
 }
 
 /// Comma-separated list of integers, each in [lo, hi]; empty list or any

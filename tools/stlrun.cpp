@@ -197,13 +197,8 @@ int prepare_journalled(const char* cmd, const JournalledOpts& o, u64 seed,
                  "--verify-threads\n", kTool);
     return cli::kExitUsage;
   }
-  if (ex.checkpoint.enabled() || o.interrupt_after != 0 || o.timeout_s != 0) {
-    ex.interrupt = &fault::global_interrupt();
-    ex.interrupt->clear();
-    if (o.interrupt_after != 0) ex.interrupt->arm_after(o.interrupt_after);
-    fault::install_drain_handlers();
-    if (o.timeout_s != 0) fault::arm_wallclock_timeout(o.timeout_s);
-  }
+  ex.interrupt =
+      cli::arm_drain(ex.checkpoint.enabled(), o.interrupt_after, o.timeout_s);
   return -1;
 }
 
