@@ -90,7 +90,7 @@ int main(int argc, char** argv) {
   bench::print_header("Methodology ablations (design rules of Sec. III)",
                       "not a paper exhibit: validates each rule's necessity");
   const auto routine = core::make_fwd_test(/*with_perf_counters=*/true);
-  bench::PerfSession perf(opts, "ablation");
+  perf::Session perf("ablation");
   bool ok = true;
 
   {
@@ -178,5 +178,5 @@ int main(int argc, char** argv) {
   perf.mark_phase("cache_fitting");
 
   std::printf("\nablation checks: %s\n", ok ? "OK" : "MISMATCH");
-  return perf.finish(ok ? 0 : 1);
+  return perf.finish(opts.metrics_out, ok ? 0 : 1);
 }

@@ -57,7 +57,7 @@ u64 run_triple_core_contended(const std::vector<core::BuiltTest>& tests) {
 }
 
 /// Fixed-work KPI probe; returns the bench exit code.
-int run_probe(const bench::BenchOptions& opts, unsigned reps) {
+int run_probe(const std::string& metrics_out, unsigned reps) {
   // Build the routines BEFORE the session starts: the KPI measures the
   // simulator's cycle throughput, not the assembler/wrapper builder.
   const auto cached = build_test(0, core::WrapperKind::kCacheBased);
@@ -65,7 +65,7 @@ int run_probe(const bench::BenchOptions& opts, unsigned reps) {
   for (unsigned c = 0; c < 3; ++c)
     plain.push_back(build_test(c, core::WrapperKind::kPlain));
 
-  bench::PerfSession perf(opts, "simspeed");
+  perf::Session perf("simspeed");
   perf.hash_knob("probe_reps", reps);
   u64 single = 0, triple = 0;
   for (unsigned r = 0; r < reps; ++r) single = run_single_core_cached(cached);
@@ -80,7 +80,7 @@ int run_probe(const bench::BenchOptions& opts, unsigned reps) {
   const bool ok = single > 0 && single < 10'000'000 && triple > 0 &&
                   triple < 20'000'000;
   if (!ok) std::printf("probe: FAILED (a workload hit its watchdog)\n");
-  return perf.finish(ok ? 0 : 1);
+  return perf.finish(metrics_out, ok ? 0 : 1);
 }
 
 void BM_SocCycles_SingleCoreCached(benchmark::State& state) {
@@ -175,7 +175,7 @@ void usage(std::FILE* out) {
 int main(int argc, char** argv) {
   // Peel the probe options off before google-benchmark sees the argv (it
   // rejects flags it doesn't know).
-  bench::BenchOptions opts;
+  std::string metrics_out;
   bool probe_only = false;
   unsigned reps = 1;
   std::vector<std::string> gbench_args;
@@ -183,7 +183,7 @@ int main(int argc, char** argv) {
       "bench_simspeed", usage, argc - 1, argv + 1,
       [&](const std::string& a, auto& need) {
         if (a == "--metrics-out") {
-          opts.metrics_out = need();
+          metrics_out = need();
         } else if (a == "--probe-only") {
           probe_only = true;
         } else if (a == "--probe-reps") {
@@ -196,8 +196,8 @@ int main(int argc, char** argv) {
       });
   if (parsed >= 0) return parsed;
 
-  if (probe_only || !opts.metrics_out.empty()) {
-    const int rc = run_probe(opts, reps);
+  if (probe_only || !metrics_out.empty()) {
+    const int rc = run_probe(metrics_out, reps);
     if (probe_only || rc != 0) return rc;
   }
 

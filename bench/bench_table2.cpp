@@ -8,6 +8,12 @@
 // cores. Knobs: DETSTL_FAULT_STRIDE (default 1; N = every Nth fault),
 // DETSTL_SCENARIOS (default 0 = full 12-scenario grid), DETSTL_THREADS /
 // --threads N (0 = hardware concurrency, 1 = serial), --progress.
+//
+// The oscillation relation needs exhaustive runs. The no-cache band is only
+// 0.3-0.8 points wide (about 16 of core A's 4,622 faults), and a strided
+// sample keeps every Nth fault: at stride 16 about one of them falls in the
+// band, so min == max on a core and the shape check names the oscillation
+// relation as failed there (exit 1).
 
 #include <chrono>
 
@@ -25,7 +31,7 @@ int main(int argc, char** argv) {
 
   const unsigned stride = bench::env_unsigned("DETSTL_FAULT_STRIDE", 1, 1);
   const unsigned scenarios = bench::env_unsigned("DETSTL_SCENARIOS", 0);
-  bench::PerfSession perf(opts, "table2");
+  perf::Session perf("table2");
   perf.hash_knob("fault_stride", stride);
   perf.hash_knob("scenarios", scenarios);
   const auto t0 = std::chrono::steady_clock::now();
@@ -46,20 +52,27 @@ int main(int argc, char** argv) {
            TextTable::fmt_fixed(r.fc_cached, 2), r.cached_stable ? "yes" : "NO"});
   }
   t.print();
-  std::printf("\nwall-clock: %.1f s (threads=%u%s)\n", wall, opts.threads,
-              opts.threads == 0 ? " = all hardware threads" : "");
+  std::printf("\nwall-clock: %.1f s (threads=%u%s)\n", wall,
+              opts.executor.threads,
+              opts.executor.threads == 0 ? " = all hardware threads" : "");
 
-  bool shape_ok = true;
+  // Every relation that fails, with the core it fails on.
+  std::string failed;
+  const auto check = [&failed](bool holds, const std::string& what) {
+    if (!holds) failed += (failed.empty() ? "" : ", ") + what;
+  };
   for (const auto& r : rows) {
-    shape_ok &= r.fc_min < r.fc_max;          // no-cache FC oscillates
-    shape_ok &= r.fc_cached > r.fc_max;       // cache-based exceeds the best
-    shape_ok &= r.cached_stable;              // and is scenario-invariant
+    const std::string core = std::string(" on core ") + r.core;
+    check(r.fc_min < r.fc_max, "oscillation" + core);    // no-cache FC oscillates
+    check(r.fc_cached > r.fc_max, "cached max" + core);  // cached beats the best
+    check(r.cached_stable, "cached stable" + core);      // scenario-invariant
   }
   // Core C: 64-bit muxes vs 32-bit signature -> lower coverage than A/B.
-  shape_ok &= rows[2].fc_cached < rows[0].fc_cached &&
-              rows[2].fc_cached < rows[1].fc_cached;
+  check(rows[2].fc_cached < rows[0].fc_cached &&
+            rows[2].fc_cached < rows[1].fc_cached,
+        "core C lower");
   std::printf("\nshape check (oscillation, cached max+stable, core C lower): %s\n",
-              shape_ok ? "OK" : "MISMATCH");
+              failed.empty() ? "OK" : ("MISMATCH: " + failed).c_str());
   bench::finish_trace(opts, tracer);
-  return perf.finish(shape_ok ? 0 : 1);
+  return perf.finish(opts.metrics_out, failed.empty() ? 0 : 1);
 }

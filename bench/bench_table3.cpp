@@ -25,7 +25,7 @@ int main(int argc, char** argv) {
       "HDCU 63.84->70.12%; C: ICU 54.94->60.91%, HDCU 65.66->68.09%");
 
   const unsigned stride = bench::env_unsigned("DETSTL_FAULT_STRIDE", 1, 1);
-  bench::PerfSession perf(opts, "table3");
+  perf::Session perf("table3");
   perf.hash_knob("fault_stride", stride);
   const auto t0 = std::chrono::steady_clock::now();
   const auto rows = bench::run_resumable([&] {
@@ -48,8 +48,9 @@ int main(int argc, char** argv) {
                std::to_string(r.stability_runs)});
   }
   t.print();
-  std::printf("\nwall-clock: %.1f s (threads=%u%s)\n", wall, opts.threads,
-              opts.threads == 0 ? " = all hardware threads" : "");
+  std::printf("\nwall-clock: %.1f s (threads=%u%s)\n", wall,
+              opts.executor.threads,
+              opts.executor.threads == 0 ? " = all hardware threads" : "");
 
   bool shape_ok = true;
   double icu_ab_cached = 0, icu_c_cached = 0;
@@ -70,5 +71,5 @@ int main(int argc, char** argv) {
               "core C ICU >= A/B): %s\n",
               shape_ok ? "OK" : "MISMATCH");
   bench::finish_trace(opts, tracer);
-  return perf.finish(shape_ok ? 0 : 1);
+  return perf.finish(opts.metrics_out, shape_ok ? 0 : 1);
 }

@@ -8,12 +8,8 @@
 #include <string>
 
 #include "common/table.h"
-#include "common/version.h"
 #include "exp/experiments.h"
-#include "perf/collect.h"
-#include "perf/perf_report.h"
-#include "perf/sampler.h"
-#include "perf/simstats.h"
+#include "perf/session.h"
 #include "trace/chrome_trace.h"
 
 #include "cli_util.h"
@@ -39,37 +35,18 @@ inline unsigned env_unsigned(const char* name, unsigned def, unsigned lo = 0,
 /// Command-line options shared by the table benches.
 struct BenchOptions {
   bool progress = false;    // --progress: live campaign progress on stderr
-  unsigned threads = 0;     // --threads N / DETSTL_THREADS (0 = all cores)
   std::string trace_path;   // --trace FILE: Chrome-trace JSON of the run
-  // stlperf trajectory (src/perf/perf_report.h, tools/stlperf.cpp).
+  // stlperf trajectory (src/perf/session.h, tools/stlperf.cpp).
   std::string metrics_out;  // --metrics-out FILE: BENCH_<name>.json
-  // Crash-safe checkpoint/resume (fault/checkpoint.h); see the exit-code
-  // contract in tools/cli_util.h — an interrupted bench exits 3 (resumable).
-  std::string checkpoint_dir;      // --checkpoint-dir DIR (empty = off)
-  unsigned checkpoint_interval = 256;  // --checkpoint-interval N
-  bool resume = false;             // --resume
-  bool no_fsync = false;           // --no-fsync
-  u64 interrupt_after = 0;         // --interrupt-after N (drain drill)
-  unsigned timeout = 0;            // --timeout SEC wall-clock budget (exit 3)
-
-  /// The checkpoint journal these options ask for (empty dir = off).
-  fault::CheckpointConfig checkpoint() const {
-    fault::CheckpointConfig c;
-    if (checkpoint_dir.empty()) return c;
-    c.dir = checkpoint_dir;
-    c.interval = checkpoint_interval;
-    c.resume = resume;
-    c.fsync = no_fsync ? fault::FsyncPolicy::kNone : fault::FsyncPolicy::kEveryShard;
-    return c;
-  }
+  // --threads / DETSTL_THREADS and the crash-safe checkpoint/resume group
+  // (cli::ExecutorFlags); an interrupted bench exits 3 (resumable).
+  fault::ExecutorConfig executor;
 };
 
 inline void bench_usage(std::FILE* out) {
   std::fprintf(out,
-               "options: [--progress] [--threads N] [--trace FILE]\n"
-               "         [--metrics-out FILE] [--timeout SEC]\n"
-               "         [--checkpoint-dir DIR [--checkpoint-interval N]\n"
-               "          [--resume] [--no-fsync] [--interrupt-after N]]\n");
+               "options: [--progress] [--trace FILE] [--metrics-out FILE]\n%s",
+               cli::kExecutorUsage);
 }
 
 /// Parse the shared bench options with the tools' strict parser
@@ -79,42 +56,24 @@ inline BenchOptions parse_options(int argc, char** argv) {
   const char* slash = std::strrchr(argv[0], '/');
   const char* tool = slash != nullptr ? slash + 1 : argv[0];
   BenchOptions o;
-  o.threads = env_unsigned("DETSTL_THREADS", 0, 0, 256);
-  const int rc = cli::parse_args(
+  o.executor.threads = env_unsigned("DETSTL_THREADS", 0, 0, 256);
+  cli::ExecutorFlags executor(tool, o.executor);
+  int rc = cli::parse_args(
       tool, bench_usage, argc - 1, argv + 1,
       [&](const std::string& a, auto& need) {
         if (a == "--progress") {
           o.progress = true;
-        } else if (a == "--threads") {
-          o.threads = cli::require_unsigned(tool, "--threads", need(), 0, 256);
         } else if (a == "--trace") {
           o.trace_path = need();
         } else if (a == "--metrics-out") {
           o.metrics_out = need();
-        } else if (a == "--checkpoint-dir") {
-          o.checkpoint_dir = need();
-        } else if (a == "--checkpoint-interval") {
-          o.checkpoint_interval = cli::require_unsigned(
-              tool, "--checkpoint-interval", need(), 1, 1'000'000);
-        } else if (a == "--resume") {
-          o.resume = true;
-        } else if (a == "--no-fsync") {
-          o.no_fsync = true;
-        } else if (a == "--interrupt-after") {
-          o.interrupt_after =
-              cli::require_u64(tool, "--interrupt-after", need(), 1, ~0ull);
-        } else if (a == "--timeout") {
-          o.timeout = cli::require_unsigned(tool, "--timeout", need(), 1, 86'400);
         } else {
-          return false;
+          return executor.parse(a, need);
         }
         return true;
       });
+  if (rc < 0) rc = executor.arm();
   if (rc >= 0) std::exit(rc);
-  if (o.resume && o.checkpoint_dir.empty()) {
-    std::fprintf(stderr, "error: --resume requires --checkpoint-dir\n");
-    std::exit(cli::kExitUsage);
-  }
   // Probe the output paths up front: a bench can run for minutes, and an
   // unwritable destination should fail before the campaign, not after it.
   for (const std::string* path : {&o.trace_path, &o.metrics_out}) {
@@ -177,13 +136,13 @@ inline void print_progress(const fault::CampaignProgress& p) {
   std::fflush(stderr);
 }
 
-/// ExecOptions for the table drivers: campaign threads from the options,
-/// progress + per-scenario narration when --progress was given, events into
-/// `sink` when --trace was given.
+/// ExecOptions for the table drivers: the executor options, progress +
+/// per-scenario narration when --progress was given, events into `sink`
+/// when --trace was given.
 inline exp::ExecOptions exec_options(const BenchOptions& o,
                                      trace::EventSink* sink = nullptr) {
   exp::ExecOptions e;
-  e.threads = o.threads;
+  static_cast<fault::ExecutorConfig&>(e) = o.executor;
   e.sink = sink;
   if (o.progress) {
     e.progress = print_progress;
@@ -191,9 +150,6 @@ inline exp::ExecOptions exec_options(const BenchOptions& o,
       std::fprintf(stderr, "\r%s\033[K\n", line.c_str());
     };
   }
-  e.checkpoint = o.checkpoint();
-  e.interrupt = cli::arm_drain(!o.checkpoint_dir.empty(), o.interrupt_after,
-                               o.timeout);
   return e;
 }
 
@@ -213,85 +169,6 @@ auto run_resumable(Fn&& fn) -> decltype(fn()) {
     std::exit(2);
   }
 }
-
-/// Brackets one bench invocation for the stlperf trajectory: sim-work deltas
-/// (perf/simstats.h) and wall-clock per phase, host usage and the workload
-/// config hash, emitted as one BENCH_<name>.json via --metrics-out. Construct before the workload, call
-/// mark_phase() after each section, and return finish(exit_code) from main.
-/// Without --metrics-out the bookkeeping still runs (it is two snapshots per
-/// phase) but nothing is written.
-class PerfSession {
- public:
-  PerfSession(const BenchOptions& o, const std::string& name)
-      : opts_(o), name_(name) {
-    hash_.str(name);
-    start_ = phase_start_ = perf::sim_totals().snapshot();
-    phase_wall_s_ = 0.0;
-  }
-
-  /// Mix a workload knob into the config hash. Only outcome-relevant knobs
-  /// (strides, scenario counts, staggers) — never threads or observability
-  /// settings, mirroring the checkpoint config-hash exclusions.
-  void hash_knob(const char* key, u64 value) {
-    hash_.str(key);
-    hash_.u64v(value);
-  }
-
-  /// The work since the previous mark (or the start) was phase `label`.
-  void mark_phase(const std::string& label) {
-    const perf::SimSnapshot now = perf::sim_totals().snapshot();
-    const perf::HostUsage u = timer_.sample();
-    const perf::SimSnapshot d = now.since(phase_start_);
-    phases_.push_back(
-        {label, d.sim_cycles(), d.units(), u.wall_s - phase_wall_s_});
-    phase_start_ = now;
-    phase_wall_s_ = u.wall_s;
-  }
-
-  /// Close the trailing phase, write the report (when --metrics-out) and
-  /// pass `exit_code` through — `return perf_session.finish(rc);`.
-  int finish(int exit_code) {
-    const perf::SimSnapshot end = perf::sim_totals().snapshot();
-    if (end.since(phase_start_).sim_cycles() != 0)
-      mark_phase(phases_.empty() ? "all" : "tail");
-    if (opts_.metrics_out.empty()) return exit_code;
-
-    const perf::SimSnapshot delta = end.since(start_);
-    const perf::HostUsage u = timer_.sample();
-    perf::PerfReport rep;
-    rep.name = name_;
-    rep.detstl_version = kDetstlVersion;
-    rep.config_hash = hash_.digest();
-    rep.sim_cycles = delta.sim_cycles();
-    rep.sim_units = delta.units();
-    rep.phases = phases_;
-    rep.wall_s = u.wall_s;
-    rep.cpu_s = u.cpu_s;
-    rep.peak_rss_kb = u.peak_rss_kb;
-    perf::collect_sim_totals(rep.metrics, delta);
-    perf::collect_host_usage(rep.metrics, u);
-    if (!perf::write_report_file(opts_.metrics_out, rep)) {
-      std::fprintf(stderr, "error: cannot write metrics file %s\n",
-                   opts_.metrics_out.c_str());
-      return 1;
-    }
-    std::fprintf(stderr, "stlperf: wrote %s (%.1f Mcycles in %.2fs, %.2f sim-MHz)\n",
-                 opts_.metrics_out.c_str(),
-                 static_cast<double>(rep.sim_cycles) / 1e6, rep.wall_s,
-                 rep.sim_mhz());
-    return exit_code;
-  }
-
- private:
-  BenchOptions opts_;
-  std::string name_;
-  fault::ConfigHasher hash_;
-  perf::HostTimer timer_;
-  perf::SimSnapshot start_{};
-  perf::SimSnapshot phase_start_{};
-  double phase_wall_s_ = 0.0;
-  std::vector<perf::PhaseStats> phases_;
-};
 
 inline void print_header(const char* exhibit, const char* paper_numbers) {
   std::printf("==============================================================\n");

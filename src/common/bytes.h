@@ -1,7 +1,9 @@
 #pragma once
 // Little-endian byte codec shared by every canonical serialisation (the
-// byte-identity units of the campaign results) and every journal payload
-// (fault/checkpoint.h). put8/put32/put64 append; ByteReader reads back with
+// byte-identity units of the campaign results, the DSEV event files and
+// audit windows of trace/) and every journal payload (fault/checkpoint.h).
+// store32/store64 write into a buffer, put8/put32/put64 append to a byte
+// container (std::vector<u8> or std::string); ByteReader reads back with
 // bounds checks that fail sticky, so a decoder can read a whole record and
 // test ok() once.
 
@@ -13,14 +15,32 @@
 
 namespace detstl {
 
-inline void put8(std::vector<u8>& out, u8 v) { out.push_back(v); }
-
-inline void put32(std::vector<u8>& out, u32 v) {
-  for (unsigned i = 0; i < 4; ++i) out.push_back(static_cast<u8>(v >> (8 * i)));
+inline void store32(u8* p, u32 v) {
+  for (unsigned i = 0; i < 4; ++i) p[i] = static_cast<u8>(v >> (8 * i));
 }
 
-inline void put64(std::vector<u8>& out, u64 v) {
-  for (unsigned i = 0; i < 8; ++i) out.push_back(static_cast<u8>(v >> (8 * i)));
+inline void store64(u8* p, u64 v) {
+  store32(p, static_cast<u32>(v));
+  store32(p + 4, static_cast<u32>(v >> 32));
+}
+
+template <typename Bytes>
+void put8(Bytes& out, u8 v) {
+  out.push_back(static_cast<typename Bytes::value_type>(v));
+}
+
+template <typename Bytes>
+void put32(Bytes& out, u32 v) {
+  u8 b[4];
+  store32(b, v);
+  out.insert(out.end(), b, b + sizeof b);
+}
+
+template <typename Bytes>
+void put64(Bytes& out, u64 v) {
+  u8 b[8];
+  store64(b, v);
+  out.insert(out.end(), b, b + sizeof b);
 }
 
 /// u32 length prefix, then the characters.

@@ -249,12 +249,9 @@ fault::CampaignConfig table_campaign_config(fault::Module module, unsigned grade
   cc.kind = static_cast<CoreKind>(graded);
   cc.fault_stride = fault_stride;
   cc.signature_from_marker = from_marker;
-  cc.threads = opts.threads;
+  static_cast<fault::ExecutorConfig&>(cc) = opts;
   cc.progress = opts.progress;
-  cc.sink = opts.sink;
-  cc.interrupt = opts.interrupt;
   if (opts.checkpoint.enabled()) {
-    cc.checkpoint = opts.checkpoint;
     std::string s = leaf;
     for (char& ch : s)
       if (ch == '/' || ch == ' ') ch = '-';

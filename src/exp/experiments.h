@@ -48,28 +48,21 @@ fault::SocFactory scenario_factory(std::vector<core::BuiltTest> tests,
                                    const Scenario& sc, unsigned graded);
 
 /// Execution knobs shared by every table driver. The defaults reproduce the
-/// exhibits silently on all available cores; the benches map `--progress`
-/// and DETSTL_THREADS onto this.
-struct ExecOptions {
-  /// Campaign worker threads (fault::CampaignConfig::threads): 0 = hardware
-  /// concurrency, 1 = serial. The table rows are identical for any value.
-  unsigned threads = 0;
+/// exhibits silently on all available cores; the benches map their options
+/// (cli::ExecutorFlags, `--progress`, `--trace`) onto this. The executor
+/// fields go to every fault campaign a driver launches, with two twists:
+///  * `checkpoint` is a root: each campaign journals into its own
+///    subdirectory `<dir>/<campaign-label>`, so one bench invocation can hold
+///    many independent campaign checkpoints;
+///  * a drained campaign (`interrupt`) makes the driver throw
+///    fault::Interrupted, so the bench stops at the first interrupted
+///    campaign and exits resumable (exit 3).
+/// The table rows are identical for any `threads`.
+struct ExecOptions : fault::ExecutorConfig {
   /// Forwarded to every fault campaign (in-campaign progress/ETA).
   fault::ProgressFn progress;
   /// One line per completed scenario/configuration step ("narration").
   std::function<void(const std::string&)> log;
-  /// detscope event sink forwarded to every fault campaign (the benches wire
-  /// `--trace FILE` onto this; null = tracing off).
-  trace::EventSink* sink = nullptr;
-  /// Crash-safe checkpoint root (fault/checkpoint.h): every fault campaign a
-  /// table driver launches journals into its own subdirectory
-  /// `<dir>/<campaign-label>`, so one bench invocation can hold many
-  /// independent campaign checkpoints. Empty dir = off.
-  fault::CheckpointConfig checkpoint;
-  /// Cooperative drain request forwarded to every fault campaign. A drained
-  /// campaign makes the table driver throw fault::Interrupted, so the bench
-  /// stops at the first interrupted campaign and exits resumable (exit 3).
-  fault::InterruptToken* interrupt = nullptr;
 };
 
 // -----------------------------------------------------------------------------

@@ -200,39 +200,6 @@ const char* reject_reason_name(RejectReason r) {
   return "?";
 }
 
-u64 fnv1a(const void* data, std::size_t n, u64 h) {
-  const u8* p = static_cast<const u8*>(data);
-  for (std::size_t i = 0; i < n; ++i) {
-    h ^= p[i];
-    h *= 0x100000001b3ull;
-  }
-  return h;
-}
-
-ConfigHasher& ConfigHasher::u32v(u32 v) {
-  u8 b[4];
-  for (unsigned i = 0; i < 4; ++i) b[i] = static_cast<u8>(v >> (8 * i));
-  return bytes(b, 4);
-}
-
-ConfigHasher& ConfigHasher::u64v(u64 v) {
-  u8 b[8];
-  for (unsigned i = 0; i < 8; ++i) b[i] = static_cast<u8>(v >> (8 * i));
-  return bytes(b, 8);
-}
-
-ConfigHasher& ConfigHasher::f64v(double v) {
-  u64 bits = 0;
-  static_assert(sizeof bits == sizeof v);
-  std::memcpy(&bits, &v, sizeof bits);
-  return u64v(bits);
-}
-
-ConfigHasher& ConfigHasher::str(const std::string& s) {
-  u64v(s.size());
-  return bytes(s.data(), s.size());
-}
-
 InterruptToken& global_interrupt() {
   static InterruptToken token;
   return token;

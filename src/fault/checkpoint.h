@@ -37,6 +37,7 @@
 #include <vector>
 
 #include "common/bitutil.h"
+#include "common/hash.h"
 
 namespace detstl::trace {
 class EventSink;
@@ -180,32 +181,11 @@ void reset_for_child();
 void arm_wallclock_timeout(unsigned seconds);
 
 // -----------------------------------------------------------------------------
-// Hashing
+// Hashing (common/hash.h; the fault:: names are kept for existing callers)
 // -----------------------------------------------------------------------------
 
-inline constexpr u64 kFnvOffset = 0xcbf29ce484222325ull;
-
-/// FNV-1a 64 over a byte range, chainable via `h`.
-u64 fnv1a(const void* data, std::size_t n, u64 h = kFnvOffset);
-
-/// Order-sensitive accumulator for the campaign config hashes. Every field
-/// is framed with its width so adjacent fields can never alias.
-class ConfigHasher {
- public:
-  ConfigHasher& u8v(u8 v) { return bytes(&v, 1); }
-  ConfigHasher& u32v(u32 v);
-  ConfigHasher& u64v(u64 v);
-  ConfigHasher& f64v(double v);  // hashed by bit pattern
-  ConfigHasher& str(const std::string& s);
-  u64 digest() const { return h_; }
-
- private:
-  ConfigHasher& bytes(const void* data, std::size_t n) {
-    h_ = fnv1a(data, n, h_);
-    return *this;
-  }
-  u64 h_ = kFnvOffset;
-};
+using detstl::fnv1a;
+using detstl::kFnvOffset;
 
 /// Structural identity of a graded netlist: every gate's op and operands,
 /// plus the input/flop counts. Two netlists with the same fingerprint have

@@ -14,8 +14,6 @@
 
 #include "fault/campaign.h"
 #include "perf/metrics.h"
-#include "perf/sampler.h"
-#include "perf/simstats.h"
 #include "runtime/campaign.h"
 #include "soc/soc.h"
 
@@ -138,23 +136,6 @@ inline void collect_disturbance_result(Registry& reg,
   reg.add_counter("campaign.quarantined_runs", labels, quarantined_runs);
   reg.add_counter("campaign.budget_exhausted", labels, budget_exhausted);
   collect_executor(reg, r, r.runs, labels);
-}
-
-/// Total simulated work accumulated by the engines (perf/simstats.h),
-/// usually a delta bracketing one bench or phase.
-inline void collect_sim_totals(Registry& reg, const SimSnapshot& totals) {
-  for (unsigned i = 0; i < kNumSimStats; ++i) {
-    if (totals.v[i] == 0) continue;
-    reg.add_counter(std::string("sim.") + sim_stat_name(static_cast<SimStat>(i)),
-                    "", totals.v[i]);
-  }
-}
-
-/// Host resource usage (always kHost).
-inline void collect_host_usage(Registry& reg, const HostUsage& u) {
-  reg.set_gauge("host.wall_s", "", u.wall_s);
-  reg.set_gauge("host.cpu_s", "", u.cpu_s);
-  reg.set_gauge("host.peak_rss_kb", "", static_cast<double>(u.peak_rss_kb));
 }
 
 }  // namespace detstl::perf

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cassert>
 
+#include "common/hash.h"
 #include "common/table.h"
 
 namespace detstl::perf {
@@ -95,44 +96,29 @@ const Metric* Registry::find(const std::string& name,
 }
 
 u64 Registry::sim_fingerprint() const {
-  u64 h = 0xcbf29ce484222325ull;  // FNV-1a 64
-  const auto mix_bytes = [&h](const void* p, std::size_t n) {
-    const u8* b = static_cast<const u8*>(p);
-    for (std::size_t i = 0; i < n; ++i) {
-      h ^= b[i];
-      h *= 0x100000001b3ull;
-    }
-  };
-  const auto mix_u64 = [&mix_bytes](u64 v) {
-    u8 le[8];
-    for (int i = 0; i < 8; ++i) le[i] = static_cast<u8>(v >> (8 * i));
-    mix_bytes(le, 8);
-  };
+  ConfigHasher h;
   for (const auto& [key, m] : series_) {
     if (m.source != MetricSource::kSim) continue;
-    mix_bytes(key.first.data(), key.first.size());
-    mix_bytes(key.second.data(), key.second.size());
-    mix_u64(static_cast<u64>(m.kind));
+    h.bytes(key.first.data(), key.first.size());
+    h.bytes(key.second.data(), key.second.size());
+    h.u64v(static_cast<u64>(m.kind));
     switch (m.kind) {
       case MetricKind::kCounter:
-        mix_u64(m.counter);
+        h.u64v(m.counter);
         break;
       case MetricKind::kGauge:
         // Gauges are host-side by convention; a sim gauge hashes its bits.
-        static_assert(sizeof(double) == 8);
-        u64 bits;
-        __builtin_memcpy(&bits, &m.gauge, 8);
-        mix_u64(bits);
+        h.f64v(m.gauge);
         break;
       case MetricKind::kHistogram:
-        for (const u64 b : m.hist.bounds) mix_u64(b);
-        for (const u64 c : m.hist.counts) mix_u64(c);
-        mix_u64(m.hist.total);
-        mix_u64(m.hist.sum);
+        for (const u64 b : m.hist.bounds) h.u64v(b);
+        for (const u64 c : m.hist.counts) h.u64v(c);
+        h.u64v(m.hist.total);
+        h.u64v(m.hist.sum);
         break;
     }
   }
-  return h;
+  return h.digest();
 }
 
 std::string Registry::render(const std::string& title) const {

@@ -85,9 +85,10 @@ class Registry {
   /// Lookup for tests/assertions; nullptr when the series does not exist.
   const Metric* find(const std::string& name, const std::string& labels) const;
 
-  /// FNV-1a 64 over every kSim series (name, labels, kind, values) in
-  /// deterministic order. kHost series never enter the fingerprint, so two
-  /// runs of the same simulation match even across machines.
+  /// FNV-1a 64 (common/hash.h) over every kSim series (name, labels, kind,
+  /// values) in deterministic order. kHost series never enter the
+  /// fingerprint, so two runs of the same simulation match even across
+  /// machines.
   u64 sim_fingerprint() const;
 
   /// Human-readable table of every series.

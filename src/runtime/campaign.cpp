@@ -90,11 +90,11 @@ bool deserialize_run_record(const std::vector<u8>& bytes, RunRecord& out) {
   return true;
 }
 
-fault::ConfigHasher schedule_config_hasher(fault::PayloadKind kind, u64 seed,
+ConfigHasher schedule_config_hasher(fault::PayloadKind kind, u64 seed,
                                            unsigned runs, unsigned cores,
                                            const SchedulePlan& plan,
                                            const SupervisorConfig& sup) {
-  fault::ConfigHasher h;
+  ConfigHasher h;
   h.u32v(fault::kCheckpointSchemaVersion)
       .u32v(static_cast<u32>(kind))
       .u64v(seed)
@@ -124,7 +124,7 @@ fault::ConfigHasher schedule_config_hasher(fault::PayloadKind kind, u64 seed,
 }
 
 u64 checkpoint_config_hash(const CampaignSpec& spec, const SchedulePlan& plan) {
-  fault::ConfigHasher h = schedule_config_hasher(
+  ConfigHasher h = schedule_config_hasher(
       fault::PayloadKind::kDisturbanceRuns, spec.seed, spec.runs, spec.cores,
       plan, spec.supervisor);
   const DisturbanceSpec& d = spec.disturb;

@@ -89,7 +89,7 @@ u64 checkpoint_config_hash(const CampaignSpec& spec, const SchedulePlan& plan);
 /// payload kind, seed, run count, cores, the resolved schedule and the
 /// supervisor config. Each engine appends its own knobs and the SoC image
 /// fingerprint.
-fault::ConfigHasher schedule_config_hasher(fault::PayloadKind kind, u64 seed,
+ConfigHasher schedule_config_hasher(fault::PayloadKind kind, u64 seed,
                                            unsigned runs, unsigned cores,
                                            const SchedulePlan& plan,
                                            const SupervisorConfig& sup);

@@ -276,7 +276,7 @@ bool deserialize_soak_record(const std::vector<u8>& bytes, SoakRunRecord& out) {
 }
 
 u64 soak_checkpoint_config_hash(const SoakCampaignSpec& spec, const SchedulePlan& plan) {
-  fault::ConfigHasher h = schedule_config_hasher(
+  ConfigHasher h = schedule_config_hasher(
       fault::PayloadKind::kSoakRuns, spec.seed, spec.runs, spec.cores, plan,
       spec.supervisor);
   h.u64v(spec.soak.duration)

@@ -6,6 +6,7 @@
 #include <string>
 #include <vector>
 
+#include "common/bytes.h"
 #include "trace/event.h"
 
 namespace detstl::trace {
@@ -33,17 +34,14 @@ class StreamCapture final : public EventSink {
 
 /// Field-wise little-endian serialisation (no struct padding leaks).
 inline void append_bytes(const Event& e, std::string& out) {
-  const auto put = [&out](u64 v, unsigned bytes) {
-    for (unsigned i = 0; i < bytes; ++i) out.push_back(static_cast<char>(v >> (8 * i)));
-  };
-  put(e.cycle, 8);
-  put(static_cast<u8>(e.kind), 1);
-  put(e.core, 1);
-  put(e.unit, 1);
-  put(e.flags, 1);
-  put(e.addr, 4);
-  put(e.a, 4);
-  put(e.b, 4);
+  put64(out, e.cycle);
+  put8(out, static_cast<u8>(e.kind));
+  put8(out, e.core);
+  put8(out, e.unit);
+  put8(out, e.flags);
+  put32(out, e.addr);
+  put32(out, e.a);
+  put32(out, e.b);
 }
 
 inline std::string serialize(const std::vector<Event>& events) {

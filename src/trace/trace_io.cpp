@@ -3,22 +3,14 @@
 #include <cstdio>
 #include <cstring>
 
+#include "common/bytes.h"
+
 namespace detstl::trace {
 
 namespace {
 
 constexpr char kMagic[4] = {'D', 'S', 'E', 'V'};
 constexpr std::size_t kRecordBytes = 24;
-
-void put_u32(u32 v, std::string& out) {
-  for (unsigned i = 0; i < 4; ++i) out.push_back(static_cast<char>(v >> (8 * i)));
-}
-
-u64 get_u64(const unsigned char* p, unsigned bytes) {
-  u64 v = 0;
-  for (unsigned i = 0; i < bytes; ++i) v |= static_cast<u64>(p[i]) << (8 * i);
-  return v;
-}
 
 }  // namespace
 
@@ -27,10 +19,8 @@ bool write_events_file(const std::string& path,
   std::string blob;
   blob.reserve(16 + events.size() * kRecordBytes);
   blob.append(kMagic, sizeof kMagic);
-  put_u32(kEventFileVersion, blob);
-  const u64 count = events.size();
-  for (unsigned i = 0; i < 8; ++i)
-    blob.push_back(static_cast<char>(count >> (8 * i)));
+  put32(blob, kEventFileVersion);
+  put64(blob, events.size());
   blob += serialize(events);
 
   std::FILE* f = std::fopen(path.c_str(), "wb");
@@ -56,14 +46,14 @@ EventFileResult read_events_file(const std::string& path) {
     r.error = path + ": not a DSEV event file";
     return r;
   }
-  const auto* p = reinterpret_cast<const unsigned char*>(blob.data());
-  const u32 version = static_cast<u32>(get_u64(p + 4, 4));
+  const auto* p = reinterpret_cast<const u8*>(blob.data());
+  const u32 version = load32(p + 4);
   if (version != kEventFileVersion) {
     r.error = path + ": unsupported event-file version " +
               std::to_string(version);
     return r;
   }
-  const u64 count = get_u64(p + 8, 8);
+  const u64 count = load64(p + 8);
   if (blob.size() != 16 + count * kRecordBytes) {
     r.error = path + ": truncated (" + std::to_string(blob.size()) +
               " bytes for " + std::to_string(count) + " records)";
@@ -71,16 +61,16 @@ EventFileResult read_events_file(const std::string& path) {
   }
   r.events.reserve(static_cast<std::size_t>(count));
   for (u64 i = 0; i < count; ++i) {
-    const unsigned char* rec = p + 16 + i * kRecordBytes;
+    const u8* rec = p + 16 + i * kRecordBytes;
     Event e;
-    e.cycle = get_u64(rec, 8);
+    e.cycle = load64(rec);
     e.kind = static_cast<EventKind>(rec[8]);
     e.core = rec[9];
     e.unit = rec[10];
     e.flags = rec[11];
-    e.addr = static_cast<u32>(get_u64(rec + 12, 4));
-    e.a = static_cast<u32>(get_u64(rec + 16, 4));
-    e.b = static_cast<u32>(get_u64(rec + 20, 4));
+    e.addr = load32(rec + 12);
+    e.a = load32(rec + 16);
+    e.b = load32(rec + 20);
     r.events.push_back(e);
   }
   r.ok = true;

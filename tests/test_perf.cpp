@@ -18,6 +18,7 @@
 #include "perf/metrics.h"
 #include "perf/perf_report.h"
 #include "perf/sampler.h"
+#include "perf/session.h"
 #include "perf/simstats.h"
 #include "runtime/campaign.h"
 
@@ -280,27 +281,26 @@ fault::CampaignResult run_fwd_campaign(unsigned threads) {
   return campaign.run();
 }
 
-/// The exact report a bench would emit for this campaign, minus host noise.
-PerfReport report_for(const fault::CampaignResult& r, const SimSnapshot& delta) {
-  PerfReport rep;
-  rep.name = "threads-invariance";
-  rep.detstl_version = "test";
-  rep.config_hash = 1;
-  rep.sim_cycles = delta.sim_cycles();
-  rep.sim_units = delta.units();
-  rep.phases.push_back({"campaign", delta.sim_cycles(), delta.units(), 0.5});
-  collect_fault_result(rep.metrics, r, "module=fwd");
-  collect_sim_totals(rep.metrics, delta);
-  return rep;
+/// The sim subtree of the report a session bracketing one campaign emits.
+std::string sim_subtree(Session& session, const fault::CampaignResult& r) {
+  session.mark_phase("campaign");
+  collect_fault_result(session.metrics(), r, "module=fwd");
+  return sim_canonical(session.report());
 }
 
 TEST(ThreadInvariance, FaultCampaignSimSubtreeByteIdenticalAt1_2_8Threads) {
   const SimSnapshot s0 = sim_totals().snapshot();
+  Session p1("threads-invariance");
   const auto r1 = run_fwd_campaign(1);
+  const std::string sim1 = sim_subtree(p1, r1);
   const SimSnapshot s1 = sim_totals().snapshot();
+  Session p2("threads-invariance");
   const auto r2 = run_fwd_campaign(2);
+  const std::string sim2 = sim_subtree(p2, r2);
   const SimSnapshot s2 = sim_totals().snapshot();
+  Session p8("threads-invariance");
   const auto r8 = run_fwd_campaign(8);
+  const std::string sim8 = sim_subtree(p8, r8);
   const SimSnapshot s8 = sim_totals().snapshot();
 
   // The new CampaignResult observability fields are thread-invariant...
@@ -326,9 +326,6 @@ TEST(ThreadInvariance, FaultCampaignSimSubtreeByteIdenticalAt1_2_8Threads) {
   EXPECT_EQ(d1[SimStat::kFaultUnits], r1.simulated_faults);
 
   // The full schema-level contract: byte-identical "sim" subtrees.
-  const std::string sim1 = sim_canonical(report_for(r1, d1));
-  const std::string sim2 = sim_canonical(report_for(r2, d2));
-  const std::string sim8 = sim_canonical(report_for(r8, d8));
   EXPECT_EQ(sim1, sim2);
   EXPECT_EQ(sim1, sim8);
   EXPECT_NE(sim1.find("\"cycles\""), std::string::npos);

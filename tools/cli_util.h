@@ -20,7 +20,7 @@
 
 #include "common/parse.h"
 #include "common/version.h"
-#include "fault/checkpoint.h"
+#include "fault/units.h"
 
 namespace detstl::cli {
 
@@ -103,6 +103,74 @@ inline fault::InterruptToken* arm_drain(bool journalled,
   if (timeout_s != 0) fault::arm_wallclock_timeout(timeout_s);
   return &token;
 }
+
+/// --help text of the ExecutorFlags group.
+inline constexpr const char* kExecutorUsage =
+    "executor options (exit 3 = interrupted but resumable):\n"
+    "  --threads N              worker threads, 0..256, 0 = hardware threads\n"
+    "                           (default 0; the result is the same for any N)\n"
+    "  --checkpoint-dir DIR     journal completed units into DIR; SIGINT and\n"
+    "                           SIGTERM drain cooperatively, flush a final shard\n"
+    "  --checkpoint-interval N  completed units per shard, 1..1000000\n"
+    "                           (default 256)\n"
+    "  --resume                 load DIR's verified shards, run the remainder\n"
+    "  --no-fsync               skip fsync on shard writes (less durable)\n"
+    "  --interrupt-after N      drill: request the drain after N units\n"
+    "  --timeout SEC            wall-clock budget, 1..86400: drain after SEC\n"
+    "                           seconds, same contract as SIGTERM\n";
+
+/// The executor option group of every journalled run (the table benches,
+/// `stlrun campaign`, `stlrun soak`), parsed into the run's
+/// fault::ExecutorConfig. Usage text: kExecutorUsage.
+class ExecutorFlags {
+ public:
+  ExecutorFlags(const char* tool, fault::ExecutorConfig& ex)
+      : tool_(tool), ex_(ex) {}
+
+  /// Consume option `a`, pulling its value with need(); false = not an
+  /// executor option.
+  template <typename Need>
+  bool parse(const std::string& a, Need& need) {
+    if (a == "--threads") {
+      ex_.threads = require_unsigned(tool_, "--threads", need(), 0, 256);
+    } else if (a == "--checkpoint-dir") {
+      ex_.checkpoint.dir = need();
+    } else if (a == "--checkpoint-interval") {
+      ex_.checkpoint.interval = require_unsigned(tool_, "--checkpoint-interval",
+                                                 need(), 1, 1'000'000);
+    } else if (a == "--resume") {
+      ex_.checkpoint.resume = true;
+    } else if (a == "--no-fsync") {
+      ex_.checkpoint.fsync = fault::FsyncPolicy::kNone;
+    } else if (a == "--interrupt-after") {
+      interrupt_after_ =
+          require_u64(tool_, "--interrupt-after", need(), 1, ~0ull);
+    } else if (a == "--timeout") {
+      timeout_s_ = require_unsigned(tool_, "--timeout", need(), 1, 86'400);
+    } else {
+      return false;
+    }
+    return true;
+  }
+
+  /// After parsing: refuse --resume without --checkpoint-dir (exit code 2),
+  /// else arm the drain into the config's `interrupt` and return -1 to run.
+  int arm() {
+    if (ex_.checkpoint.resume && !ex_.checkpoint.enabled()) {
+      std::fprintf(stderr, "%s: --resume requires --checkpoint-dir\n", tool_);
+      return kExitUsage;
+    }
+    ex_.interrupt =
+        arm_drain(ex_.checkpoint.enabled(), interrupt_after_, timeout_s_);
+    return -1;
+  }
+
+ private:
+  const char* tool_;
+  fault::ExecutorConfig& ex_;
+  unsigned long long interrupt_after_ = 0;
+  unsigned timeout_s_ = 0;
+};
 
 /// Comma-separated list of integers, each in [lo, hi]; empty list or any
 /// malformed entry is a usage error.

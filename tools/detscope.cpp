@@ -29,9 +29,7 @@
 #include "core/stl.h"
 #include "exp/experiments.h"
 #include "perf/collect.h"
-#include "perf/perf_report.h"
-#include "perf/sampler.h"
-#include "perf/simstats.h"
+#include "perf/session.h"
 #include "trace/audit.h"
 #include "trace/capture.h"
 #include "trace/chrome_trace.h"
@@ -323,41 +321,18 @@ int cmd_metrics(int argc, char** argv) {
   std::vector<core::BuiltTest> tests;
   soc::Soc soc = q.build(tests);
 
-  const perf::SimSnapshot before = perf::sim_totals().snapshot();
-  perf::HostTimer timer;
+  perf::Session session("detscope-metrics");
   soc.reset();
   const auto res = soc.run(10'000'000);
   if (res.timed_out) {
     std::fprintf(stderr, "detscope: watchdog expired\n");
     return 1;
   }
-  const perf::SimSnapshot delta = perf::sim_totals().snapshot().since(before);
-  const perf::HostUsage usage_now = timer.sample();
-
-  perf::PerfReport rep;
-  rep.name = "detscope-metrics";
-  rep.detstl_version = kDetstlVersion;
-  fault::ConfigHasher hash;
-  hash.str("detscope-metrics").str(q.routine).u32v(q.cores).u8v(q.wa ? 1 : 0);
-  rep.config_hash = hash.digest();
-  rep.sim_cycles = delta.sim_cycles();
-  rep.sim_units = delta.units();
-  rep.phases.push_back({"quickstart", delta.sim_cycles(), delta.units(),
-                        usage_now.wall_s});
-  rep.wall_s = usage_now.wall_s;
-  rep.cpu_s = usage_now.cpu_s;
-  rep.peak_rss_kb = usage_now.peak_rss_kb;
-  perf::collect_soc(rep.metrics, soc);
-  perf::collect_sim_totals(rep.metrics, delta);
-  perf::collect_host_usage(rep.metrics, usage_now);
-
-  const std::string json = perf::to_json(rep);
-  if (out_path.empty()) {
-    std::fputs(json.c_str(), stdout);
-  } else if (!perf::write_report_file(out_path, rep)) {
-    std::fprintf(stderr, "detscope: cannot write %s\n", out_path.c_str());
-    return 1;
-  }
+  session.mark_phase("quickstart");
+  session.config().str(q.routine).u32v(q.cores).u8v(q.wa ? 1 : 0);
+  perf::collect_soc(session.metrics(), soc);
+  if (!out_path.empty()) return session.finish(out_path, 0);
+  std::fputs(perf::to_json(session.report()).c_str(), stdout);
   return 0;
 }
 

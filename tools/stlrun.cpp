@@ -24,9 +24,7 @@
 #include "common/table.h"
 #include "core/stl.h"
 #include "perf/collect.h"
-#include "perf/perf_report.h"
-#include "perf/sampler.h"
-#include "perf/simstats.h"
+#include "perf/session.h"
 #include "runtime/campaign.h"
 #include "runtime/mission.h"
 #include "runtime/soak.h"
@@ -49,10 +47,9 @@ void usage(std::FILE* to) {
       "               signatures and the stlint interference bound\n"
       "  list-kinds   list disturbance kinds and registered routines\n"
       "\n"
-      "campaign options:\n"
+      "campaign options (plus the executor options below):\n"
       "  --seed N               master seed; REQUIRED and non-zero (exit 2 otherwise)\n"
       "  --runs N               supervised runs, 1..100000 (default 16)\n"
-      "  --threads N            worker threads, 0 = hardware threads (default 0)\n"
       "  --verify-threads LIST  run at each thread count in LIST (e.g. 1,2,8);\n"
       "                         exit 1 unless outcome vectors are byte-identical\n"
       "  --cores N              active cores, 1..3 (default 3)\n"
@@ -64,12 +61,12 @@ void usage(std::FILE* to) {
       "  --attempts N           cached-rung attempts, 1..16 (default 3)\n"
       "  --fallback-attempts N  fallback-rung attempts, 0..16 (default 2)\n"
       "  --digest-only          print only the outcome digest line\n"
-      "  --metrics-out FILE     write an stlperf JSON report of the campaign\n"
+      "  --metrics-out FILE     write an stlperf JSON report of the run\n"
       "                         (src/perf/perf_report.h; host timings on stderr\n"
       "                         so stdout stays byte-stable across thread counts)\n"
       "\n"
-      "soak options (plus --seed/--runs/--threads/--verify-threads/--cores/\n"
-      "--routine/--margin/--digest-only and the checkpoint/resume group):\n"
+      "soak options (plus --seed/--runs/--verify-threads/--cores/--routine/\n"
+      "--margin/--digest-only/--metrics-out and the executor options):\n"
       "  --duration N           upset-arrival horizon in cycles, 0 = derived from\n"
       "                         the schedule calibration (default 0)\n"
       "  --rate-ram N           RAM upsets per million cycles (default 60)\n"
@@ -88,17 +85,10 @@ void usage(std::FILE* to) {
       "  exit 1 when any slice diverges from the golden signature or any\n"
       "  measured per-access bus wait exceeds the predicted d_max\n"
       "\n"
-      "checkpoint/resume (exit 3 = interrupted but resumable):\n"
-      "  --checkpoint-dir DIR     journal completed runs into DIR; SIGINT/SIGTERM\n"
-      "                           drain cooperatively and flush a final shard\n"
-      "  --checkpoint-interval N  completed runs per shard, 1..1000000 (default 256)\n"
-      "  --resume                 load DIR's verified shards, run the remainder\n"
-      "  --no-fsync               skip fsync on shard writes (faster, less durable)\n"
-      "  --interrupt-after N      drill: request the drain after N completed runs\n"
-      "  --timeout SEC            wall-clock budget: drain cooperatively after SEC\n"
-      "                           seconds, same contract as SIGTERM (exit 3)\n"
+      "%s"
       "\n"
-      "  --version                print suite + checkpoint schema version\n");
+      "  --version                print suite + checkpoint schema version\n",
+      cli::kExecutorUsage);
 }
 
 int cmd_list_kinds() {
@@ -130,23 +120,20 @@ struct JournalledOpts {
   std::vector<unsigned> verify_threads;
   bool digest_only = false;
   bool seed_set = false;
-  u64 interrupt_after = 0;
-  unsigned timeout_s = 0;
+  std::string metrics_out;
 };
 
 /// The options campaign and soak share: the seed/runs/cores/routines/margin
-/// fields both specs carry, plus the executor fields of fault::ExecutorConfig
-/// (threads and the checkpoint/resume group). False = not a shared option.
+/// fields both specs carry, the report options, and the executor group
+/// (cli::ExecutorFlags). False = not a shared option.
 template <typename Spec, typename Need>
 bool parse_journalled(const std::string& a, Need& need, Spec& spec,
-                      JournalledOpts& o) {
+                      JournalledOpts& o, cli::ExecutorFlags& executor) {
   if (a == "--seed") {
     spec.seed = cli::require_u64(kTool, "--seed", need(), 0, ~0ull);
     o.seed_set = true;
   } else if (a == "--runs") {
     spec.runs = cli::require_unsigned(kTool, "--runs", need(), 1, 100'000);
-  } else if (a == "--threads") {
-    spec.threads = cli::require_unsigned(kTool, "--threads", need(), 0, 256);
   } else if (a == "--verify-threads") {
     o.verify_threads =
         cli::require_unsigned_list(kTool, "--verify-threads", need(), 1, 256);
@@ -159,22 +146,10 @@ bool parse_journalled(const std::string& a, Need& need, Spec& spec,
         cli::require_unsigned(kTool, "--margin", need(), 0, 10'000);
   } else if (a == "--digest-only") {
     o.digest_only = true;
-  } else if (a == "--checkpoint-dir") {
-    spec.checkpoint.dir = need();
-  } else if (a == "--checkpoint-interval") {
-    spec.checkpoint.interval = static_cast<u32>(
-        cli::require_u64(kTool, "--checkpoint-interval", need(), 1, 1'000'000));
-  } else if (a == "--resume") {
-    spec.checkpoint.resume = true;
-  } else if (a == "--no-fsync") {
-    spec.checkpoint.fsync = fault::FsyncPolicy::kNone;
-  } else if (a == "--interrupt-after") {
-    o.interrupt_after =
-        cli::require_u64(kTool, "--interrupt-after", need(), 1, ~0ull);
-  } else if (a == "--timeout") {
-    o.timeout_s = cli::require_unsigned(kTool, "--timeout", need(), 1, 86'400);
+  } else if (a == "--metrics-out") {
+    o.metrics_out = need();
   } else {
-    return false;
+    return executor.parse(a, need);
   }
   return true;
 }
@@ -183,23 +158,23 @@ bool parse_journalled(const std::string& a, Need& need, Spec& spec,
 /// handlers, --interrupt-after, --timeout). Returns an exit code on a usage
 /// error, -1 to run.
 int prepare_journalled(const char* cmd, const JournalledOpts& o, u64 seed,
-                       fault::ExecutorConfig& ex) {
+                       const fault::ExecutorConfig& ex,
+                       cli::ExecutorFlags& executor) {
   if (!require_seed(cmd, o.seed_set, seed)) return cli::kExitUsage;
-  if (ex.checkpoint.resume && !ex.checkpoint.enabled()) {
-    std::fprintf(stderr, "%s: --resume requires --checkpoint-dir\n", kTool);
-    return cli::kExitUsage;
+  if (!o.verify_threads.empty()) {
+    // The verify loop runs the same campaign several times: sharing one
+    // journal across them would make every pass after the first a no-op,
+    // and one report could not say which pass it measured.
+    const char* other = ex.checkpoint.enabled()  ? "--checkpoint-dir"
+                        : !o.metrics_out.empty() ? "--metrics-out"
+                                                 : nullptr;
+    if (other != nullptr) {
+      std::fprintf(stderr, "%s: %s cannot be combined with --verify-threads\n",
+                   kTool, other);
+      return cli::kExitUsage;
+    }
   }
-  if (ex.checkpoint.enabled() && !o.verify_threads.empty()) {
-    // The verify loop runs the same campaign several times; sharing one
-    // journal across them would make every pass after the first a no-op.
-    std::fprintf(stderr,
-                 "%s: --checkpoint-dir cannot be combined with "
-                 "--verify-threads\n", kTool);
-    return cli::kExitUsage;
-  }
-  ex.interrupt =
-      cli::arm_drain(ex.checkpoint.enabled(), o.interrupt_after, o.timeout_s);
-  return -1;
+  return executor.arm();
 }
 
 /// Checkpoint summary and interrupted exit of one journalled run, then its
@@ -278,10 +253,52 @@ int verify_journalled(const Spec& spec, const JournalledOpts& o, Run run,
   return 0;
 }
 
+/// One journalled command after its options are parsed: the shared option
+/// checks (prepare_journalled), then the verify loop, or one run with its
+/// report on stdout, host timings on stderr (the stdout
+/// report is diffed across thread counts and straight-vs-resumed runs by
+/// the CI drills) and, with --metrics-out, an stlperf report named
+/// `stlrun-<cmd>`; `describe(session, result)` mixes the config hash and
+/// adds the command's own series.
+template <typename Spec, typename Run, typename Render, typename Describe>
+int run_journalled(const char* cmd, const Spec& spec, const JournalledOpts& o,
+                   cli::ExecutorFlags& executor, Run run, Render render,
+                   Describe describe) {
+  if (const int rc = prepare_journalled(cmd, o, spec.seed, spec, executor);
+      rc >= 0)
+    return rc;
+  if (!o.verify_threads.empty())
+    return verify_journalled(spec, o, run, render);
+
+  perf::Session session(std::string(kTool) + "-" + cmd);
+  const auto res = run(spec);
+  if (const int rc = print_journalled(spec, res, o.digest_only, render);
+      rc >= 0)
+    return rc;
+  session.mark_phase(cmd);
+  describe(session, res);
+  const perf::PerfReport rep = session.report();
+  std::fprintf(stderr,
+               "%s: %u %s run(s) on %u thread(s) in %.2fs | %.1f Mcycles "
+               "simulated, %.2f sim-MHz, peak RSS %ld KiB\n",
+               kTool, res.runs, cmd, res.threads_used, res.wall_seconds,
+               static_cast<double>(rep.sim_cycles) / 1e6, rep.sim_mhz(),
+               rep.peak_rss_kb);
+  return session.finish(o.metrics_out, cli::kExitSuccess);
+}
+
+/// Config-hash fields both journalled specs share, in the campaign report's
+/// historical order.
+template <typename Spec>
+void hash_journalled(ConfigHasher& h, const Spec& spec) {
+  h.u64v(spec.seed).u32v(spec.runs).u32v(spec.cores);
+  for (const auto& r : spec.routines) h.str(r);
+}
+
 int cmd_campaign(int argc, char** argv) {
   CampaignSpec spec;
   JournalledOpts o;
-  std::string metrics_out;
+  cli::ExecutorFlags executor(kTool, spec);
 
   const auto parse = [&](const std::string& a, auto& need) {
     if (a == "--events") {
@@ -299,92 +316,34 @@ int cmd_campaign(int argc, char** argv) {
     } else if (a == "--fallback-attempts") {
       spec.supervisor.fallback_attempts =
           cli::require_unsigned(kTool, "--fallback-attempts", need(), 0, 16);
-    } else if (a == "--metrics-out") {
-      metrics_out = need();
     } else {
-      return parse_journalled(a, need, spec, o);
+      return parse_journalled(a, need, spec, o, executor);
     }
     return true;
   };
   if (const int rc = cli::parse_args(kTool, usage, argc, argv, parse); rc >= 0)
     return rc;
-  if (const int rc = prepare_journalled("campaign", o, spec.seed, spec);
-      rc >= 0)
-    return rc;
-
-  if (!o.verify_threads.empty() && !metrics_out.empty()) {
-    // The verify loop runs the campaign several times; one report could not
-    // say which pass it measured.
-    std::fprintf(stderr,
-                 "%s: --metrics-out cannot be combined with --verify-threads\n",
-                 kTool);
-    return cli::kExitUsage;
-  }
-  const auto run = [](const CampaignSpec& s) {
-    return run_disturbance_campaign(s);
-  };
-  if (!o.verify_threads.empty())
-    return verify_journalled(spec, o, run, render_recovery_report);
-
-  const perf::SimSnapshot sim_before = perf::sim_totals().snapshot();
-  perf::HostTimer host_timer;
-  const CampaignResult res = run(spec);
-  if (const int rc =
-          print_journalled(spec, res, o.digest_only, render_recovery_report);
-      rc >= 0)
-    return rc;
-  // Host timings go to stderr only: the stdout report is diffed across
-  // thread counts and straight-vs-resumed runs by the CI drills.
-  const perf::SimSnapshot sim_delta =
-      perf::sim_totals().snapshot().since(sim_before);
-  const perf::HostUsage host = host_timer.sample();
-  const double sim_mhz = host.wall_s > 0.0
-                             ? static_cast<double>(sim_delta.sim_cycles()) /
-                                   host.wall_s / 1e6
-                             : 0.0;
-  std::fprintf(stderr,
-               "%s: %u runs on %u thread(s) in %.2fs | %.1f Mcycles simulated, "
-               "%.2f sim-MHz, peak RSS %ld KiB\n",
-               kTool, res.runs, res.threads_used, res.wall_seconds,
-               static_cast<double>(sim_delta.sim_cycles()) / 1e6, sim_mhz,
-               perf::peak_rss_kb());
-  if (!metrics_out.empty()) {
-    perf::PerfReport rep;
-    rep.name = "stlrun-campaign";
-    rep.detstl_version = kDetstlVersion;
-    fault::ConfigHasher hash;
-    hash.str("stlrun-campaign").u64v(spec.seed).u32v(spec.runs).u32v(spec.cores);
-    for (const auto& r : spec.routines) hash.str(r);
-    hash.u32v(spec.disturb.count);
-    hash.f64v(spec.disturb.permanent_chance);
-    hash.u32v(spec.disturb.stall_cycles);
-    hash.u32v(spec.supervisor.margin_percent);
-    hash.u32v(spec.supervisor.max_attempts);
-    hash.u32v(spec.supervisor.fallback_attempts);
-    rep.config_hash = hash.digest();
-    rep.sim_cycles = sim_delta.sim_cycles();
-    rep.sim_units = sim_delta.units();
-    rep.phases.push_back(
-        {"campaign", sim_delta.sim_cycles(), sim_delta.units(), host.wall_s});
-    rep.wall_s = host.wall_s;
-    rep.cpu_s = host.cpu_s;
-    rep.peak_rss_kb = host.peak_rss_kb;
-    perf::collect_disturbance_result(rep.metrics, res, "");
-    perf::collect_sim_totals(rep.metrics, sim_delta);
-    perf::collect_host_usage(rep.metrics, host);
-    if (!perf::write_report_file(metrics_out, rep)) {
-      std::fprintf(stderr, "%s: cannot write %s\n", kTool, metrics_out.c_str());
-      return cli::kExitFailure;
-    }
-    std::fprintf(stderr, "%s: stlperf report written to %s\n", kTool,
-                 metrics_out.c_str());
-  }
-  return cli::kExitSuccess;
+  return run_journalled(
+      "campaign", spec, o, executor,
+      [](const CampaignSpec& s) { return run_disturbance_campaign(s); },
+      render_recovery_report,
+      [&](perf::Session& session, const CampaignResult& res) {
+        ConfigHasher& h = session.config();
+        hash_journalled(h, spec);
+        h.u32v(spec.disturb.count);
+        h.f64v(spec.disturb.permanent_chance);
+        h.u32v(spec.disturb.stall_cycles);
+        h.u32v(spec.supervisor.margin_percent);
+        h.u32v(spec.supervisor.max_attempts);
+        h.u32v(spec.supervisor.fallback_attempts);
+        perf::collect_disturbance_result(session.metrics(), res, "");
+      });
 }
 
 int cmd_soak(int argc, char** argv) {
   SoakCampaignSpec spec;
   JournalledOpts o;
+  cli::ExecutorFlags executor(kTool, spec);
 
   const auto parse = [&](const std::string& a, auto& need) {
     if (a == "--duration") {
@@ -401,25 +360,23 @@ int cmd_soak(int argc, char** argv) {
     } else if (a == "--no-isolate") {
       spec.isolate = false;
     } else {
-      return parse_journalled(a, need, spec, o);
+      return parse_journalled(a, need, spec, o, executor);
     }
     return true;
   };
   if (const int rc = cli::parse_args(kTool, usage, argc, argv, parse); rc >= 0)
     return rc;
-  if (const int rc = prepare_journalled("soak", o, spec.seed, spec); rc >= 0)
-    return rc;
-
-  if (!o.verify_threads.empty())
-    return verify_journalled(spec, o, run_soak_campaign, render_soak_report);
-  const SoakCampaignResult res = run_soak_campaign(spec);
-  if (const int rc =
-          print_journalled(spec, res, o.digest_only, render_soak_report);
-      rc >= 0)
-    return rc;
-  std::fprintf(stderr, "%s: %u soak run(s) on %u thread(s) in %.2fs\n", kTool,
-               res.runs, res.threads_used, res.wall_seconds);
-  return cli::kExitSuccess;
+  return run_journalled(
+      "soak", spec, o, executor, run_soak_campaign, render_soak_report,
+      [&](perf::Session& session, const SoakCampaignResult&) {
+        ConfigHasher& h = session.config();
+        hash_journalled(h, spec);
+        h.u64v(spec.soak.duration);
+        h.u32v(spec.soak.rates.ram).u32v(spec.soak.rates.l1i);
+        h.u32v(spec.soak.rates.l1d).u32v(spec.soak.rates.pipeline);
+        h.u8v(spec.isolate ? 1 : 0);
+        h.u32v(spec.supervisor.margin_percent);
+      });
 }
 
 int cmd_mission(int argc, char** argv) {
