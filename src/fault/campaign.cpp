@@ -122,14 +122,16 @@ struct Checkpoint {
   std::size_t r29_idx;
 };
 
-/// Aggregates worker progress and throttles callback invocations. All
-/// methods are no-ops when no callback is installed; otherwise every
-/// emission happens under one mutex, so the callback never sees torn state
-/// and never runs concurrently with itself.
+/// Aggregates worker progress and throttles callback invocations to one
+/// per kEvery work units. All methods are no-ops when no callback is
+/// installed; otherwise every emission happens under one mutex, so the
+/// callback never sees torn state and never runs concurrently with itself.
 class ProgressTracker {
  public:
-  ProgressTracker(const ProgressFn& fn, u32 every, unsigned workers)
-      : fn_(fn), every_(std::max<u32>(1, every)), worker_done_(workers, 0) {}
+  static constexpr u64 kEvery = 64;
+
+  ProgressTracker(const ProgressFn& fn, unsigned workers)
+      : fn_(fn), worker_done_(workers, 0) {}
 
   void begin_phase(CampaignPhase phase, u64 total) {
     if (!fn_) return;
@@ -152,7 +154,7 @@ class ProgressTracker {
     detected_ += detected;
     worker_done_[worker] += units;
     since_emit_ += units;
-    if (since_emit_ >= every_) {
+    if (since_emit_ >= kEvery) {
       since_emit_ = 0;
       emit_locked();
     }
@@ -183,7 +185,6 @@ class ProgressTracker {
   }
 
   ProgressFn fn_;
-  u32 every_;
   std::mutex mu_;
   CampaignPhase phase_ = CampaignPhase::kGoodRun;
   u64 total_ = 0, done_ = 0, excited_ = 0, detected_ = 0, since_emit_ = 0;
@@ -227,7 +228,7 @@ u64 checkpoint_config_hash(const CampaignConfig& cfg, const netlist::Netlist& nl
       .u8v(static_cast<u8>(cfg.module))
       .u32v(cfg.core_id)
       .u8v(static_cast<u8>(cfg.kind))
-      .u32v(cfg.mailbox != 0 ? cfg.mailbox : soc::mailbox_addr(cfg.core_id))
+      .u32v(soc::mailbox_addr(cfg.core_id))
       .u64v(cfg.max_cycles)
       .u32v(cfg.checkpoint_every)
       .u32v(cfg.fault_stride)
@@ -241,7 +242,7 @@ Campaign::Campaign(const CampaignConfig& cfg, SocFactory factory)
     : cfg_(cfg), factory_(std::move(factory)) {}
 
 CampaignResult Campaign::run() {
-  const u32 mailbox = cfg_.mailbox != 0 ? cfg_.mailbox : soc::mailbox_addr(cfg_.core_id);
+  const u32 mailbox = soc::mailbox_addr(cfg_.core_id);
   CampaignResult res;
   const auto wall_start = std::chrono::steady_clock::now();
 
@@ -322,7 +323,7 @@ CampaignResult Campaign::run() {
       "fault campaign");
   const std::vector<u8>& done = kernel.done();
   res.threads_used = kernel.threads();
-  ProgressTracker tracker(cfg_.progress, cfg_.progress_every, res.threads_used);
+  ProgressTracker tracker(cfg_.progress, res.threads_used);
 
   // --- Phase 0: good run with trace recording + checkpoints ---------------------
   tracker.begin_phase(CampaignPhase::kGoodRun, 0);

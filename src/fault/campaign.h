@@ -50,7 +50,6 @@ struct CampaignConfig : ExecutorConfig {
   Module module = Module::kFwd;
   unsigned core_id = 0;  // core under grade
   isa::CoreKind kind = isa::CoreKind::kA;
-  u32 mailbox = 0;       // 0 = soc::mailbox_addr(core_id)
   u64 max_cycles = 20'000'000;  // good-run bound
   u32 checkpoint_every = 4096;  // cycles between checkpoints
   /// Simulate every Nth fault of the collapsed list (deterministic sampling
@@ -62,10 +61,9 @@ struct CampaignConfig : ExecutorConfig {
   /// counter (r30) reaching 1.
   bool signature_from_marker = false;
   /// Optional observability callback (never affects the result). Invoked
-  /// under an internal mutex at phase boundaries and roughly every
-  /// `progress_every` completed work units.
+  /// under an internal mutex at phase boundaries and every 64 completed
+  /// work units of a phase.
   ProgressFn progress;
-  u32 progress_every = 64;
 };
 
 /// The scenario under grade: builds a fresh SoC with all programs loaded and
@@ -139,12 +137,12 @@ std::vector<netlist::Fault> sample_faults(
     const std::vector<netlist::Fault>& all, u32 stride);
 
 /// The hash a checkpoint manifest binds this campaign to: every
-/// outcome-relevant CampaignConfig field (module, graded core, mailbox,
-/// bounds, fault_stride, marker mode) plus the netlist fingerprint and the
-/// routine-image fingerprint of the factory's SoC. Deliberately EXCLUDES
-/// threads, progress, sink, checkpoint and interrupt — resuming on a
-/// different worker count or with different observability is legal and
-/// changes nothing.
+/// outcome-relevant CampaignConfig field (module, graded core and its
+/// mailbox, bounds, fault_stride, marker mode) plus the netlist fingerprint
+/// and the routine-image fingerprint of the factory's SoC. Deliberately
+/// EXCLUDES threads, progress, sink, checkpoint, interrupt and the
+/// executor hooks — resuming on a different worker count or with different
+/// observability is legal and changes nothing.
 u64 checkpoint_config_hash(const CampaignConfig& cfg, const netlist::Netlist& nl,
                            const soc::Soc& soc);
 

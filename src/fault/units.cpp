@@ -128,6 +128,7 @@ CheckpointStats UnitKernel::run(
     run_one(i);
     if (writer_) writer_->add(i, journal_.encode(i));
     if (on_complete) on_complete(w, i);
+    if (ex_.on_unit_complete) ex_.on_unit_complete(i);
     if (ex_.interrupt != nullptr) ex_.interrupt->on_unit_complete();
   });
   return finish();

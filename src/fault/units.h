@@ -53,6 +53,12 @@ struct ExecutorConfig {
   /// directories and treat their records as resumed. Units no journal
   /// covers run in-process, so the merge is byte-identical to one process.
   std::vector<std::string> merge_dirs;
+  /// Observability hook invoked once per unit THIS process completes (not
+  /// for resumed, merged or other shards' units), with the unit index,
+  /// after the unit is journalled. May be called concurrently from worker
+  /// threads; must never affect the result. The stlserve workers append
+  /// their heartbeat record here.
+  std::function<void(u64 unit)> on_unit_complete;
 };
 
 /// How an engine's units are journalled; see the file comment.
@@ -92,8 +98,9 @@ class UnitKernel {
 
   /// Execute every unit not done, `chunk` units per claim: run_one(i) —
   /// which must depend on nothing but i and immutable campaign state, since
-  /// any worker may call it — then the journal add, the optional
-  /// observability hook on_complete(worker, i), the interrupt countdown.
+  /// any worker may call it — then the journal add, the optional engine
+  /// hook on_complete(worker, i), ExecutorConfig::on_unit_complete(i), the
+  /// interrupt countdown.
   /// Stops claiming once a drain is requested, then finish(). The first
   /// exception a unit throws is rethrown after every worker joined.
   CheckpointStats run(

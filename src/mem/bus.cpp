@@ -7,7 +7,7 @@ namespace detstl::mem {
 void SharedBus::submit(unsigned id, const BusReq& req) {
   assert(id < kMaxBusRequesters);
   assert(slots_[id].state == SlotState::kIdle && "one outstanding request per port");
-  assert(req.bytes >= 1 && req.bytes <= kBusMaxBurstBytes);
+  assert(req.bytes >= 1 && req.bytes <= sizeof(LineWords));
   assert(is_bus(req.addr));
   slots_[id].state = SlotState::kWaiting;
   slots_[id].req = req;

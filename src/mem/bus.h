@@ -13,6 +13,7 @@
 #include <cstdint>
 
 #include "common/bitutil.h"
+#include "mem/cache.h"
 #include "mem/flash.h"
 #include "mem/sram.h"
 #include "trace/event.h"
@@ -23,14 +24,13 @@ namespace detstl::mem {
 /// The instruction side keeps up to two fetches in flight (pipelined flash
 /// access); requester id layout: core*3 + {0: ifetch0, 1: data, 2: ifetch1}.
 inline constexpr unsigned kMaxBusRequesters = 9;
-inline constexpr u32 kBusMaxBurstBytes = 32;
 
 struct BusReq {
   u32 addr = 0;
-  u32 bytes = 0;        // 1..32; bursts are naturally aligned
+  u32 bytes = 0;        // 1..32 (one LineWords); bursts are naturally aligned
   bool write = false;
   bool amo_add = false; // atomic fetch-and-add of wdata[0]; rdata = old value
-  std::array<u32, 8> wdata{};
+  LineWords wdata{};
 };
 
 /// Per-requester arbitration counters (diagnostics / contention evidence).
@@ -53,10 +53,9 @@ struct BusStats {
 class SharedBus {
  public:
   void submit(unsigned id, const BusReq& req);
-  bool has_pending(unsigned id) const { return slots_[id].state != SlotState::kIdle; }
   bool complete(unsigned id) const { return slots_[id].state == SlotState::kComplete; }
-  /// Read data of a completed request, one 32-bit beat at a time.
-  u32 rdata(unsigned id, unsigned beat) const { return slots_[id].rdata[beat]; }
+  /// Read data of a completed request: the leading (bytes + 3) / 4 words.
+  const LineWords& rdata(unsigned id) const { return slots_[id].rdata; }
   void retire(unsigned id) {
     DETSTL_TRACE(sink_, trace::Event{.cycle = now_,
                                      .kind = trace::EventKind::kBusRetire,
@@ -70,8 +69,6 @@ class SharedBus {
 
   /// Total transactions granted (diagnostics).
   u64 transactions() const { return transactions_; }
-  /// True if any transaction is in flight (diagnostics / determinism checks).
-  bool busy() const { return grant_valid_; }
   /// Bus cycles elapsed (ticks 1:1 with SoC ticks once the SoC runs).
   u64 now() const { return now_; }
 
@@ -107,7 +104,7 @@ class SharedBus {
   struct Slot {
     SlotState state = SlotState::kIdle;
     BusReq req;
-    std::array<u32, 8> rdata{};
+    LineWords rdata{};
     u64 submit_cycle = 0;
   };
 

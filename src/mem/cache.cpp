@@ -1,12 +1,14 @@
 #include "mem/cache.h"
 
+#include <algorithm>
+
 namespace detstl::mem {
 
 Cache::Cache(const CacheConfig& cfg) : cfg_(cfg) {
   assert(is_pow2(cfg.size_bytes) && is_pow2(cfg.ways) && is_pow2(cfg.line_bytes));
+  assert(cfg.line_bytes >= 4 && cfg.line_bytes <= sizeof(LineWords));
   assert(cfg.num_sets() >= 1);
   lines_.resize(cfg.num_sets() * cfg.ways);
-  for (auto& l : lines_) l.data.resize(cfg.line_bytes, 0);
 }
 
 const Cache::Line* Cache::find(u32 addr) const {
@@ -43,22 +45,23 @@ bool Cache::line_dirty(u32 addr) const {
   return l != nullptr && l->dirty;
 }
 
-void Cache::read_line(u32 addr, std::vector<u32>& beats) const {
+const LineWords& Cache::read_line(u32 addr) const {
   const Line* l = find(addr);
   assert(l != nullptr);
-  beats.assign(cfg_.line_bytes / 4, 0);
-  for (u32 i = 0; i < cfg_.line_bytes; ++i)
-    beats[i / 4] |= static_cast<u32>(l->data[i]) << (8 * (i % 4));
+  return l->data;
 }
 
+// Byte lanes [off, off + size) of a line, as a window over the word at
+// off / 4 and, for an access straddling two words (debug reads only; every
+// CPU access is naturally aligned), the next one.
 u32 Cache::read(u32 addr, unsigned size) const {
   const Line* l = find(addr);
   assert(l != nullptr && "read from non-resident line");
   const u32 off = addr % cfg_.line_bytes;
   assert(off + size <= cfg_.line_bytes);
-  u32 v = 0;
-  for (unsigned i = 0; i < size; ++i) v |= static_cast<u32>(l->data[off + i]) << (8 * i);
-  return v;
+  u64 window = l->data[off / 4];
+  if (off % 4 + size > 4) window |= u64{l->data[off / 4 + 1]} << 32;
+  return static_cast<u32>((window >> (8 * (off % 4))) & ((u64{1} << (8 * size)) - 1));
 }
 
 void Cache::write(u32 addr, u32 value, unsigned size) {
@@ -66,7 +69,13 @@ void Cache::write(u32 addr, u32 value, unsigned size) {
   assert(l != nullptr && "write to non-resident line");
   const u32 off = addr % cfg_.line_bytes;
   assert(off + size <= cfg_.line_bytes);
-  for (unsigned i = 0; i < size; ++i) l->data[off + i] = static_cast<u8>(value >> (8 * i));
+  const bool straddles = off % 4 + size > 4;
+  const u32 shift = 8 * (off % 4);
+  const u64 mask = ((u64{1} << (8 * size)) - 1) << shift;
+  u64 window = l->data[off / 4] | (straddles ? u64{l->data[off / 4 + 1]} << 32 : 0);
+  window = (window & ~mask) | ((u64{value} << shift) & mask);
+  l->data[off / 4] = static_cast<u32>(window);
+  if (straddles) l->data[off / 4 + 1] = static_cast<u32>(window >> 32);
   l->dirty = true;
   touch(*l);
 }
@@ -86,19 +95,16 @@ u32 Cache::victim_way(u32 addr) const {
   return best;
 }
 
-bool Cache::victim_dirty(u32 addr, u32& wb_addr, std::vector<u32>& beats) const {
+bool Cache::victim_dirty(u32 addr, u32& wb_addr, LineWords& data) const {
   const u32 set = set_index(addr);
   const Line& victim = lines_[set * cfg_.ways + victim_way(addr)];
   if (!victim.valid || !victim.dirty) return false;
   wb_addr = (victim.tag * cfg_.num_sets() + set) * cfg_.line_bytes;
-  beats.assign(cfg_.line_bytes / 4, 0);
-  for (u32 i = 0; i < cfg_.line_bytes; ++i)
-    beats[i / 4] |= static_cast<u32>(victim.data[i]) << (8 * (i % 4));
+  data = victim.data;
   return true;
 }
 
-void Cache::fill(u32 addr, const std::vector<u32>& beats) {
-  assert(beats.size() == cfg_.line_bytes / 4);
+void Cache::fill(u32 addr, const LineWords& data) {
   const u32 set = set_index(addr);
   Line& l = lines_[set * cfg_.ways + victim_way(addr)];
   if (l.valid && l.dirty) ++stats_.writebacks;
@@ -106,8 +112,7 @@ void Cache::fill(u32 addr, const std::vector<u32>& beats) {
   l.valid = true;
   l.dirty = false;
   l.tag = tag_of(addr);
-  for (u32 i = 0; i < cfg_.line_bytes; ++i)
-    l.data[i] = static_cast<u8>(beats[i / 4] >> (8 * (i % 4)));
+  std::copy_n(data.begin(), cfg_.line_bytes / 4, l.data.begin());
   touch(l);
 }
 
@@ -140,7 +145,7 @@ bool Cache::flip_bit(u32 addr, u32 bit) {
   Line* l = find(addr);
   if (l == nullptr) return false;
   bit %= cfg_.line_bytes * 8;
-  l->data[bit / 8] ^= static_cast<u8>(1u << (bit % 8));
+  l->data[bit / 32] ^= 1u << (bit % 32);
   return true;
 }
 
@@ -148,11 +153,11 @@ bool Cache::force_bit(u32 addr, u32 bit, bool value) {
   Line* l = find(addr);
   if (l == nullptr) return false;
   bit %= cfg_.line_bytes * 8;
-  const u8 mask = static_cast<u8>(1u << (bit % 8));
+  const u32 mask = 1u << (bit % 32);
   if (value)
-    l->data[bit / 8] |= mask;
+    l->data[bit / 32] |= mask;
   else
-    l->data[bit / 8] &= static_cast<u8>(~mask);
+    l->data[bit / 32] &= ~mask;
   return true;
 }
 

@@ -8,12 +8,21 @@
 // The cache is a passive tag/data structure; the per-core MemSystem drives
 // the miss/refill/writeback sequencing.
 
+#include <array>
 #include <cassert>
 #include <vector>
 
 #include "common/bitutil.h"
+#include "mem/flash.h"
 
 namespace detstl::mem {
+
+/// One line of data, in the one format the cache array, the bus bursts and
+/// the disturbance injector share: little-endian 32-bit words (line byte i
+/// is byte i % 4 of word i / 4), sized for the widest line, one flash line.
+/// A narrower line uses the leading line_bytes / 4 words; the cache keeps
+/// the rest zero.
+using LineWords = std::array<u32, kFlashLineBytes / 4>;
 
 struct CacheConfig {
   u32 size_bytes = 4096;
@@ -47,8 +56,8 @@ class Cache {
   /// True if `addr`'s line is resident and dirty.
   bool line_dirty(u32 addr) const;
 
-  /// Copy a resident line's words into `beats` (line_bytes/4 entries).
-  void read_line(u32 addr, std::vector<u32>& beats) const;
+  /// A resident line's data.
+  const LineWords& read_line(u32 addr) const;
 
   /// Read `size` bytes (within one line) from a resident line.
   u32 read(u32 addr, unsigned size) const;
@@ -60,12 +69,12 @@ class Cache {
   u32 victim_way(u32 addr) const;
 
   /// True if the victim for `addr` would need a writeback; fills `wb_addr`
-  /// and the line data beats if so.
-  bool victim_dirty(u32 addr, u32& wb_addr, std::vector<u32>& beats) const;
+  /// and the victim's data if so.
+  bool victim_dirty(u32 addr, u32& wb_addr, LineWords& data) const;
 
-  /// Install the line containing `addr` with `beats` (line_bytes/4 words),
-  /// evicting the LRU victim.
-  void fill(u32 addr, const std::vector<u32>& beats);
+  /// Install the line containing `addr` with the leading line_bytes/4 words
+  /// of `data`, evicting the LRU victim.
+  void fill(u32 addr, const LineWords& data);
 
   void invalidate_all();
 
@@ -108,7 +117,7 @@ class Cache {
     bool dirty = false;
     u32 tag = 0;
     u32 lru = 0;  // higher = more recently used
-    std::vector<u8> data;
+    LineWords data{};
   };
 
   u32 set_index(u32 addr) const { return (addr / cfg_.line_bytes) % cfg_.num_sets(); }
@@ -118,7 +127,7 @@ class Cache {
   void touch(Line& line);
 
   CacheConfig cfg_;
-  std::vector<Line> lines_;  // [set * ways + way]
+  std::vector<Line> lines_;  // [set * ways + way], data inline
   CacheStats stats_;
   u32 lru_clock_ = 0;
 };

@@ -109,12 +109,6 @@ class MemSystem {
   void set_trace_sink(trace::EventSink* sink) { sink_ = sink; }
   trace::EventSink* trace_sink() const { return sink_; }
 
-  /// Debug (zero-time) memory access used by loaders and test harnesses.
-  /// Routes to TCM or SRAM/flash image without timing or cache effects.
-  /// Note: with the D$ enabled, dirty lines may hold newer data than SRAM;
-  /// debug_read checks the caches first.
-  u32 debug_read(u32 addr, unsigned size, const Sram& sram, const Flash& flash) const;
-
  private:
   enum class IState : u8 { kIdle, kBusDirect, kRefill, kDone };
   enum class DState : u8 {

@@ -101,13 +101,6 @@ std::vector<NetId> Netlist::inc_n(std::span<const NetId> a) {
   return out;
 }
 
-std::vector<NetId> Netlist::gate_n(std::span<const NetId> a, NetId en) {
-  std::vector<NetId> out;
-  out.reserve(a.size());
-  for (NetId n : a) out.push_back(and2(n, en));
-  return out;
-}
-
 std::vector<Fault> Netlist::fault_list() const {
   std::vector<Fault> faults;
   faults.reserve(gates_.size() * 2);

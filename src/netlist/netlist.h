@@ -107,8 +107,6 @@ class Netlist {
   NetId eq_n(std::span<const NetId> a, std::span<const NetId> b);
   /// n-bit increment (returns n bits; carry-out dropped).
   std::vector<NetId> inc_n(std::span<const NetId> a);
-  /// AND of a vector with a single enable line.
-  std::vector<NetId> gate_n(std::span<const NetId> a, NetId en);
 
   // --- introspection ------------------------------------------------------------
   u32 num_nets() const { return static_cast<u32>(gates_.size()); }

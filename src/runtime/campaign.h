@@ -29,11 +29,6 @@ struct CampaignSpec : fault::ExecutorConfig {
   std::vector<std::string> routines;
   SupervisorConfig supervisor{};
   DisturbanceSpec disturb{};  // window_hi 0 = derived from the calibration
-  /// Observability hook invoked once per run completed by THIS process (not
-  /// for resumed records), with the run index. May be called concurrently
-  /// from worker threads; must never affect the result. Not hashed. The
-  /// stlserve workers bump their heartbeat file here.
-  std::function<void(u64)> on_run_complete;
 };
 
 struct RunRecord {
@@ -134,11 +129,7 @@ void run_journalled(const Spec& spec, fault::PayloadKind kind,
       },
       who);
   res.threads_used = std::min(kernel.threads(), std::max(1u, spec.runs));
-  res.ckpt = kernel.run(
-      1, [&](u64 i) { res.records[i] = run(seed_of(i)); },
-      [&](unsigned, u64 i) {
-        if (spec.on_run_complete) spec.on_run_complete(i);
-      });
+  res.ckpt = kernel.run(1, [&](u64 i) { res.records[i] = run(seed_of(i)); });
 }
 
 CampaignResult run_disturbance_campaign(

@@ -156,11 +156,10 @@ void DisturbanceInjector::apply(const Disturbance& d, soc::Soc& soc,
             // so memory stays architecturally correct — only the timing and
             // residency are disturbed.
             if (cache.probe(addr) && cache.line_dirty(addr)) {
-              std::vector<u32> beats;
-              cache.read_line(addr, beats);
+              const mem::LineWords& data = cache.read_line(addr);
               const u32 base = addr & ~(cache.config().line_bytes - 1);
-              for (u32 i = 0; i < beats.size(); ++i)
-                soc.debug_write32(base + 4 * i, beats[i]);
+              for (u32 i = 0; i < cache.config().line_bytes / 4; ++i)
+                soc.debug_write32(base + 4 * i, data[i]);
             }
             applied = cache.invalidate_line(addr);
             break;

@@ -18,7 +18,6 @@
 // site (address + bit) from the injector's applied log.
 
 #include <cstddef>
-#include <functional>
 #include <string>
 #include <vector>
 
@@ -158,8 +157,6 @@ struct SoakCampaignSpec : fault::ExecutorConfig {
   /// Run differential bisection on every diverged run (log2(n) extra
   /// supervised runs per divergence). Part of the config hash.
   bool isolate = true;
-  /// Per-run observability hook, as runtime::CampaignSpec::on_run_complete.
-  std::function<void(u64)> on_run_complete;
 };
 
 using SoakCampaignResult = RunCampaignResult<SoakRunRecord>;

@@ -199,8 +199,9 @@ int worker_main(const WorkerArgs& a) {
     touch(a.heartbeat);
     fault::install_drain_handlers();
 
-    // Heartbeat + chaos, shared by both kinds: one run-index record per
-    // completed unit, then the chaos self-destruct when its count is due.
+    // Heartbeat + chaos, shared by both kinds: one unit-index record per
+    // completed unit (run or fault), then the chaos self-destruct when its
+    // count is due.
     std::atomic<u64> completed{0};
     const auto beat = [&a, &completed](u64 unit) {
       append_run_index(a.heartbeat, unit);
@@ -219,27 +220,12 @@ int worker_main(const WorkerArgs& a) {
     if (a.spec.kind == "fault") {
       fault::CampaignConfig cc = fault_config(a.spec);
       shard_executor(a, cc);
-      // The fault campaign reports progress in phase units (lane groups,
-      // then faults) rather than per-run callbacks; beat once per completed
-      // unit with the shard-relative ordinal so the supervisor's liveness,
-      // pace and "current run" views work unchanged.
-      cc.progress_every = 1;
-      u64 phase_done = 0;
-      auto last_phase = fault::CampaignPhase::kGoodRun;
-      cc.progress = [&](const fault::CampaignProgress& p) {
-        if (p.phase != last_phase) {
-          last_phase = p.phase;
-          phase_done = 0;
-        }
-        if (p.phase == fault::CampaignPhase::kGoodRun) return;  // cycle units
-        for (; phase_done < p.done; ++phase_done)
-          beat(a.begin + phase_done);
-      };
+      cc.on_unit_complete = beat;
       ckpt = fault::Campaign(cc, fault_factory(a.spec)).run().ckpt;
     } else {
       runtime::CampaignSpec cs = to_campaign_spec(a.spec);
       shard_executor(a, cs);
-      cs.on_run_complete = [&beat](u64 run) { beat(run); };
+      cs.on_unit_complete = beat;
       ckpt = runtime::run_disturbance_campaign(cs).ckpt;
     }
     return ckpt.interrupted ? 3 : 0;

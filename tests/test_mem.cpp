@@ -103,14 +103,14 @@ TEST_F(BusFixture, WriteThenReadBack) {
   bus.retire(0);
   bus.submit(1, BusReq{.addr = kSramBase, .bytes = 4});
   run_until_complete(1);
-  EXPECT_EQ(bus.rdata(1, 0), 0x12345678u);
+  EXPECT_EQ(bus.rdata(1)[0], 0x12345678u);
 }
 
 TEST_F(BusFixture, AmoAddReturnsOldValue) {
   sram.write32(kSramBase + 8, 100);
   bus.submit(2, BusReq{.addr = kSramBase + 8, .bytes = 4, .amo_add = true, .wdata = {5}});
   run_until_complete(2);
-  EXPECT_EQ(bus.rdata(2, 0), 100u);
+  EXPECT_EQ(bus.rdata(2)[0], 100u);
   EXPECT_EQ(sram.read32(kSramBase + 8), 105u);
 }
 
@@ -157,9 +157,9 @@ TEST_F(BusFixture, RoundRobinFairness) {
 
 CacheConfig small_cfg() { return CacheConfig{.size_bytes = 256, .ways = 2, .line_bytes = 32}; }
 
-std::vector<u32> make_beats(u32 seed) {
-  std::vector<u32> b(8);
-  for (u32 i = 0; i < 8; ++i) b[i] = seed + i;
+LineWords make_beats(u32 seed) {
+  LineWords b{};
+  for (u32 i = 0; i < b.size(); ++i) b[i] = seed + i;
   return b;
 }
 
@@ -203,10 +203,29 @@ TEST(Cache, VictimDirtyReportsWritebackData) {
   c.write(0x004, 0xdeadbeef, 4);  // dirty line 0x000 (LRU after fill of 0x080? no: 0x000 touched by write)
   c.lookup(0x080);                // make 0x080 MRU -> victim is 0x000
   u32 wb_addr = 0;
-  std::vector<u32> beats;
+  LineWords beats{};
   ASSERT_TRUE(c.victim_dirty(0x100, wb_addr, beats));
   EXPECT_EQ(wb_addr, 0x000u);
   EXPECT_EQ(beats[1], 0xdeadbeefu);
+}
+
+TEST(Cache, ByteLanesAreLittleEndianWithinTheLineWords) {
+  Cache c(small_cfg());
+  c.fill(0, LineWords{0x44332211, 0x88776655});
+  EXPECT_EQ(c.read(1, 1), 0x22u);
+  EXPECT_EQ(c.read(2, 2), 0x4433u);
+  EXPECT_EQ(c.read(3, 2), 0x5544u);  // straddles words 0 and 1
+  EXPECT_EQ(c.read(2, 4), 0x66554433u);
+  c.write(5, 0xaabb, 2);
+  EXPECT_EQ(c.read_line(0)[1], 0x88aabb55u);
+  c.write(3, 0xccdd, 2);
+  EXPECT_EQ(c.read_line(0)[0], 0xdd332211u);
+  EXPECT_EQ(c.read_line(0)[1], 0x88aabbccu);
+  // A bit index counts from the line base: bit 40 is bit 0 of byte 5.
+  ASSERT_TRUE(c.flip_bit(0, 40));
+  EXPECT_EQ(c.read(5, 1), 0xbau);
+  ASSERT_TRUE(c.force_bit(0, 31, false));
+  EXPECT_EQ(c.read(3, 1), 0x5du);
 }
 
 TEST(Cache, InvalidateAllDiscardsDirtyData) {
@@ -386,6 +405,51 @@ TEST_F(MemSysFixture, AmoFlushesDirtyLineFirst) {
   EXPECT_EQ(ms.data_rdata(), 50u);  // saw the dirty data, not stale SRAM
   ms.data_ack();
   EXPECT_EQ(sram.read32(kSramBase + 0x300), 51u);
+}
+
+// A 16-byte-line D-cache moves exactly its four words through every line
+// path: dirty-victim writeback, refill and the AMO flush.
+TEST(MemSysLineSize, SixteenByteLinesMoveOnlyTheirWords) {
+  Flash flash;
+  Sram sram;
+  SharedBus bus;
+  MemSystem ms{0, MemSystemConfig{.dcache = {.size_bytes = 256, .ways = 2, .line_bytes = 16}}};
+  const auto op = [&](MemSystem::DataOp d) {
+    ms.data_request(d, bus);
+    for (u32 cycles = 0; !ms.data_done(); ++cycles) {
+      ASSERT_LT(cycles, 100u);
+      bus.tick(flash, sram);
+      ms.tick(bus);
+    }
+    ms.data_ack();
+  };
+  ms.set_cache_cfg(isa::kCacheCfgDEn | isa::kCacheCfgWriteAllocate);
+  const u32 stride = ms.dcache().config().num_sets() * 16;
+  // Sentinels right after two lines: a 32-byte writeback would clobber them.
+  sram.write32(kSramBase + 16, 0x5e5e5e5e);
+  sram.write32(kSramBase + 2 * stride + 16, 0x5e5e5e5e);
+  sram.write32(kSramBase + 4, 0xfeed);
+  for (u32 w = 0; w < 4; w += 2)
+    op({.addr = kSramBase + 4 * w, .size = 4, .write = true, .wdata = 0x100 + w});
+  // Two more lines of set 0 evict the dirty first line.
+  op({.addr = kSramBase + stride, .size = 4, .write = true, .wdata = 0x200});
+  op({.addr = kSramBase + 2 * stride, .size = 4, .write = true, .wdata = 0x300});
+  EXPECT_FALSE(ms.dcache().probe(kSramBase));
+  EXPECT_EQ(sram.read32(kSramBase), 0x100u);
+  EXPECT_EQ(sram.read32(kSramBase + 4), 0xfeedu);  // refilled, kept
+  EXPECT_EQ(sram.read32(kSramBase + 8), 0x102u);
+  EXPECT_EQ(sram.read32(kSramBase + 16), 0x5e5e5e5eu);
+  // Refill the written-back line: its four words come back from SRAM.
+  op({.addr = kSramBase + 8, .size = 4});
+  EXPECT_EQ(ms.data_rdata(), 0x102u);
+  EXPECT_EQ(ms.dcache().read(kSramBase + 4, 4), 0xfeedu);
+  // AMO on a dirty line flushes the 16-byte line first, then adds in SRAM.
+  op({.addr = kSramBase + 2 * stride + 4, .size = 4, .write = true, .wdata = 0x301});
+  op({.addr = kSramBase + 2 * stride + 4, .size = 4, .amo_add = true, .wdata = 1});
+  EXPECT_EQ(ms.data_rdata(), 0x301u);
+  EXPECT_EQ(sram.read32(kSramBase + 2 * stride), 0x300u);
+  EXPECT_EQ(sram.read32(kSramBase + 2 * stride + 4), 0x302u);
+  EXPECT_EQ(sram.read32(kSramBase + 2 * stride + 16), 0x5e5e5e5eu);
 }
 
 TEST_F(MemSysFixture, CacheOpInvalidates) {

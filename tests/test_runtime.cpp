@@ -421,7 +421,7 @@ TEST(Campaign, WorkerExceptionSurfacesAsRuntimeError) {
   spec.threads = 4;
   spec.cores = 1;
   spec.routines = {"alu"};
-  spec.on_run_complete = [](u64 run) {
+  spec.on_unit_complete = [](u64 run) {
     if (run == 2) throw std::runtime_error("hook failed");
   };
   EXPECT_THROW(run_disturbance_campaign(spec), std::runtime_error);

@@ -323,26 +323,36 @@ TEST(ServeCampaign, MergedResultIdenticalAt1And2And4Workers) {
 }
 
 TEST(ServeCampaign, HeartbeatRecordsCarryTheRunIndex) {
-  const auto dir = scratch_dir("heartbeat");
-  const ServeResult sr = run_campaign(small_spec(), fast_cfg(dir));
-  ASSERT_FALSE(sr.interrupted);
-  expect_identical(sr.result);
+  // A fault spec's units are sampled faults: its shards beat once per
+  // fault of their own range, never per screening lane group.
+  ServeSpec fault_spec;
+  fault_spec.kind = "fault";
+  fault_spec.module = "fwd";
+  fault_spec.stride = 8;
+  fault_spec.workers = 2;
+  fault_spec.checkpoint_interval = 16;
+  for (const ServeSpec& spec : {small_spec(), fault_spec}) {
+    const auto dir = scratch_dir("heartbeat-" + spec.kind);
+    const ServeResult sr = run_campaign(spec, fast_cfg(dir));
+    ASSERT_FALSE(sr.interrupted) << spec.kind;
+    if (spec.kind != "fault") expect_identical(sr.result);
 
-  // Every shard heartbeat is a sequence of 8-byte little-endian records,
-  // one per completed run, carrying that run's index — what the supervisor
-  // surfaces in its progress and hang notes. 8 runs over 2 workers: shard
-  // 0 owns [0, 4), shard 1 owns [4, 8).
-  const auto plans = plan_shards(small_spec().runs, 2, dir.string());
-  ASSERT_EQ(plans.size(), 2u);
-  for (const ShardPlan& p : plans) {
-    const std::vector<u8> hb = read_all(p.heartbeat);
-    ASSERT_EQ(hb.size(), (p.end - p.begin) * 8) << p.heartbeat;
-    for (u64 i = 0; i < p.end - p.begin; ++i) {
-      u64 run = 0;
-      for (unsigned b = 0; b < 8; ++b)
-        run |= static_cast<u64>(hb[i * 8 + b]) << (8 * b);
-      // threads=1 workers complete runs in order.
-      EXPECT_EQ(run, p.begin + i) << p.heartbeat;
+    // Every shard heartbeat is a sequence of 8-byte little-endian records,
+    // one per completed unit, carrying that unit's index — what the
+    // supervisor surfaces in its progress and hang notes. 2 workers: shard
+    // 0 owns the first half of the units, shard 1 the rest.
+    const auto plans = plan_shards(spec_unit_count(spec), 2, dir.string());
+    ASSERT_EQ(plans.size(), 2u);
+    for (const ShardPlan& p : plans) {
+      const std::vector<u8> hb = read_all(p.heartbeat);
+      ASSERT_EQ(hb.size(), (p.end - p.begin) * 8) << p.heartbeat;
+      for (u64 i = 0; i < p.end - p.begin; ++i) {
+        u64 unit = 0;
+        for (unsigned b = 0; b < 8; ++b)
+          unit |= static_cast<u64>(hb[i * 8 + b]) << (8 * b);
+        // threads=1 workers complete units in order.
+        EXPECT_EQ(unit, p.begin + i) << p.heartbeat;
+      }
     }
   }
 }

@@ -269,7 +269,7 @@ TEST(SoakCampaign, WorkerExceptionSurfacesAsRuntimeError) {
   SoakCampaignSpec spec = small_spec();
   spec.runs = 8;
   spec.threads = 4;
-  spec.on_run_complete = [](u64 run) {
+  spec.on_unit_complete = [](u64 run) {
     if (run == 2) throw std::runtime_error("hook failed");
   };
   EXPECT_THROW(run_soak_campaign(spec), std::runtime_error);

@@ -3,9 +3,27 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <cstdlib>
+#include <new>
+
 #include "core/routines.h"
 #include "core/stl.h"
 #include "testutil.h"
+
+// Heap allocations made by this binary, counted by a replacement of the
+// global allocation functions (SocCheckpoint.CopyAllocatesPerBufferNotPerLine).
+namespace {
+std::atomic<unsigned long> g_heap_allocs{0};
+}  // namespace
+
+void* operator new(std::size_t n) {
+  g_heap_allocs.fetch_add(1, std::memory_order_relaxed);
+  if (void* p = std::malloc(n == 0 ? 1 : n)) return p;
+  throw std::bad_alloc();
+}
+void operator delete(void* p) noexcept { std::free(p); }
+void operator delete(void* p, std::size_t) noexcept { std::free(p); }
 
 namespace detstl {
 namespace {
@@ -62,6 +80,47 @@ TEST(SocCheckpoint, CopyIsBitExactContinuation) {
   for (u32 off = 0; off < 192; off += 4)
     ASSERT_EQ(copy.debug_read32(mem::kSramBase + 0x6000 + off),
               s.debug_read32(mem::kSramBase + 0x6000 + off));
+}
+
+// A snapshot copies a handful of buffers (SRAM, TCMs, the cache arrays, the
+// fetch queues), never one per cache line: line data lives inline in the
+// cache array, so doubling the caches adds bytes but no allocations.
+TEST(SocCheckpoint, CopyAllocatesPerBufferNotPerLine) {
+  const auto copy_allocs = [](u32 cache_scale) {
+    soc::SocConfig cfg;
+    cfg.mem.icache.size_bytes *= cache_scale;
+    cfg.mem.dcache.size_bytes *= cache_scale;
+    soc::Soc s(cfg);
+    for (unsigned c = 0; c < 3; ++c) {
+      Assembler a(mem::kFlashBase + 0x2000 + c * 0x10000);
+      a.li(R1, isa::kCacheOpInvI | isa::kCacheOpInvD);
+      a.csrw(Csr::kCacheOp, R1);
+      a.li(R1, isa::kCacheCfgIEn | isa::kCacheCfgDEn | isa::kCacheCfgWriteAllocate);
+      a.csrw(Csr::kCacheCfg, R1);
+      a.li(R10, mem::kSramBase + 0x6000 + c * 64);
+      a.li(R2, 500);
+      a.label("loop");
+      a.sw(R2, R10, 0);
+      a.addi(R2, R2, -1);
+      a.bne(R2, R0, "loop");
+      a.halt();
+      const auto p = a.assemble();
+      s.load_program(p);
+      s.set_boot(c, p.entry());
+    }
+    s.reset();
+    for (int i = 0; i < 700; ++i) s.tick();
+    EXPECT_GT(s.core(0).memsys().icache().valid_lines(), 0u);
+    const unsigned long before = g_heap_allocs.load();
+    const soc::Soc copy = s;
+    const unsigned long allocs = g_heap_allocs.load() - before;
+    EXPECT_EQ(copy.now(), s.now());
+    return allocs;
+  };
+  const unsigned long base = copy_allocs(1);
+  EXPECT_GT(base, 0u);  // the counter is live
+  EXPECT_LE(base, 24u);
+  EXPECT_EQ(copy_allocs(2), base);
 }
 
 TEST(SocCheckpoint, CopyDivergesIndependently) {

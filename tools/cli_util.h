@@ -138,10 +138,13 @@ class ExecutorFlags {
     } else if (a == "--checkpoint-interval") {
       ex_.checkpoint.interval = require_unsigned(tool_, "--checkpoint-interval",
                                                  need(), 1, 1'000'000);
+      journal_only_ = "--checkpoint-interval";
     } else if (a == "--resume") {
       ex_.checkpoint.resume = true;
+      journal_only_ = "--resume";
     } else if (a == "--no-fsync") {
       ex_.checkpoint.fsync = fault::FsyncPolicy::kNone;
+      journal_only_ = "--no-fsync";
     } else if (a == "--interrupt-after") {
       interrupt_after_ =
           require_u64(tool_, "--interrupt-after", need(), 1, ~0ull);
@@ -153,11 +156,14 @@ class ExecutorFlags {
     return true;
   }
 
-  /// After parsing: refuse --resume without --checkpoint-dir (exit code 2),
-  /// else arm the drain into the config's `interrupt` and return -1 to run.
+  /// After parsing: refuse a journal option (--resume,
+  /// --checkpoint-interval, --no-fsync) without --checkpoint-dir (exit code
+  /// 2), else arm the drain into the config's `interrupt` and return -1 to
+  /// run.
   int arm() {
-    if (ex_.checkpoint.resume && !ex_.checkpoint.enabled()) {
-      std::fprintf(stderr, "%s: --resume requires --checkpoint-dir\n", tool_);
+    if (journal_only_ != nullptr && !ex_.checkpoint.enabled()) {
+      std::fprintf(stderr, "%s: %s requires --checkpoint-dir\n", tool_,
+                   journal_only_);
       return kExitUsage;
     }
     ex_.interrupt =
@@ -168,6 +174,7 @@ class ExecutorFlags {
  private:
   const char* tool_;
   fault::ExecutorConfig& ex_;
+  const char* journal_only_ = nullptr;  // last journal option seen
   unsigned long long interrupt_after_ = 0;
   unsigned timeout_s_ = 0;
 };

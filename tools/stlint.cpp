@@ -256,6 +256,20 @@ int main(int argc, char** argv) {
       std::cout << "  " << f.name << " — " << f.description << "\n";
     return 0;
   }
+  // --sarif belongs to routine linting, --json to routine linting and
+  // --matrix; a mode without that output refuses the flag.
+  const char* mode = !opt.fixture.empty()   ? "--fixture"
+                     : opt.fixtures_selfcheck ? "--fixtures"
+                     : !opt.xval_path.empty() ? "--xval"
+                     : opt.matrix             ? "--matrix"
+                                              : nullptr;
+  const char* output = !opt.sarif_path.empty()  ? "--sarif"
+                       : opt.json && !opt.matrix ? "--json"
+                                                 : nullptr;
+  if (mode != nullptr && output != nullptr) {
+    std::fprintf(stderr, "stlint: %s cannot be combined with %s\n", output, mode);
+    return cli::kExitUsage;
+  }
   if (!opt.fixture.empty()) return run_fixture(opt);
   if (opt.fixtures_selfcheck) return run_fixtures_selfcheck();
   if (!opt.xval_path.empty()) return run_xval(opt);
