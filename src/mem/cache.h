@@ -7,6 +7,18 @@
 //
 // The cache is a passive tag/data structure; the per-core MemSystem drives
 // the miss/refill/writeback sequencing.
+//
+// Lines: one set search per access. find() and lookup() map an address to
+// its resident Line, fill() returns the Line it installed and dirty_victim()
+// the Line a refill would evict; callers then act on that Line (read, write,
+// invalidate, data(), dirty(), set_of/way_of for tracing) instead of
+// searching again by address. A Line reference never outlives the call that
+// uses it: an injector may drop or refill the way between cycles, and a Soc
+// copy must not carry pointers into the array it was copied from.
+// Stats: lookup() counts a hit or a miss, fill() a refill and, when it
+// evicts a dirty line, a writeback; nothing else counts. LRU: lookup(),
+// write() and fill() touch the line; find(), read() and the injection points
+// do not.
 
 #include <array>
 #include <cassert>
@@ -47,34 +59,40 @@ class Cache {
   CacheStats& stats() { return stats_; }
   const CacheStats& stats() const { return stats_; }
 
-  /// Probe for `addr`; on hit updates LRU and returns true. Counts stats.
-  bool lookup(u32 addr);
+  /// One line of the array: read it here, change it only through Cache.
+  class Line {
+   public:
+    bool dirty() const { return dirty_; }
+    const LineWords& data() const { return data_; }
 
-  /// Probe without side effects (tests/diagnostics).
-  bool probe(u32 addr) const;
+   private:
+    friend class Cache;
+    bool valid_ = false;
+    bool dirty_ = false;
+    u32 tag_ = 0;
+    u32 lru_ = 0;  // higher = more recently used
+    LineWords data_{};
+  };
 
-  /// True if `addr`'s line is resident and dirty.
-  bool line_dirty(u32 addr) const;
+  /// `addr`'s resident line, or null. No side effects.
+  const Line* find(u32 addr) const;
+  Line* find(u32 addr);
 
-  /// A resident line's data.
-  const LineWords& read_line(u32 addr) const;
+  /// find() plus an LRU touch and a hit/miss count: the CPU-access probe.
+  Line* lookup(u32 addr);
 
-  /// Read `size` bytes (within one line) from a resident line.
-  u32 read(u32 addr, unsigned size) const;
+  /// Read `size` bytes at `addr` (within `line`).
+  u32 read(const Line& line, u32 addr, unsigned size) const;
 
-  /// Write `size` bytes (within one line) into a resident line, marking dirty.
-  void write(u32 addr, u32 value, unsigned size);
+  /// Write `size` bytes at `addr` (within `line`), marking it dirty.
+  void write(Line& line, u32 addr, u32 value, unsigned size);
 
-  /// Choose the victim way for `addr`'s set (LRU). Returns way index.
-  u32 victim_way(u32 addr) const;
-
-  /// True if the victim for `addr` would need a writeback; fills `wb_addr`
-  /// and the victim's data if so.
-  bool victim_dirty(u32 addr, u32& wb_addr, LineWords& data) const;
+  /// The LRU victim of `addr`'s set when it holds dirty data, else null.
+  const Line* dirty_victim(u32 addr) const;
 
   /// Install the line containing `addr` with the leading line_bytes/4 words
-  /// of `data`, evicting the LRU victim.
-  void fill(u32 addr, const LineWords& data);
+  /// of `data` in the LRU victim way, chosen now, and return it.
+  Line& fill(u32 addr, const LineWords& data);
 
   void invalidate_all();
 
@@ -84,9 +102,12 @@ class Cache {
   /// Set index `addr` maps to (diagnostics / tracing).
   u32 set_of(u32 addr) const { return set_index(addr); }
 
-  /// Resident way of `addr`'s line, or -1 (diagnostics / tracing; no LRU
-  /// side effects).
-  int way_of(u32 addr) const;
+  /// Set, way and base address of a line of this cache.
+  u32 set_of(const Line& line) const { return index_of(line) / cfg_.ways; }
+  u32 way_of(const Line& line) const { return index_of(line) % cfg_.ways; }
+  u32 line_addr(const Line& line) const {
+    return (line.tag_ * cfg_.num_sets() + set_of(line)) * cfg_.line_bytes;
+  }
 
   // --- disturbance-injection points (runtime::DisturbanceInjector) -------------
   // These model external perturbations — snoop-style invalidations and
@@ -94,8 +115,10 @@ class Cache {
   // dirty flag: the cache cannot tell a corrupted line from a clean one,
   // which is exactly why the wrapper's signature check exists.
 
-  /// Drop `addr`'s line if resident. Returns true when a line was discarded
-  /// (dirty content is lost, like invalidate_all).
+  /// Drop `line` (dirty content is lost, like invalidate_all).
+  void invalidate(Line& line);
+
+  /// Drop `addr`'s line if resident. Returns true when a line was discarded.
   bool invalidate_line(u32 addr);
 
   /// Toggle one bit of `addr`'s resident line (single-event upset).
@@ -112,18 +135,10 @@ class Cache {
   std::vector<u32> resident_lines() const;
 
  private:
-  struct Line {
-    bool valid = false;
-    bool dirty = false;
-    u32 tag = 0;
-    u32 lru = 0;  // higher = more recently used
-    LineWords data{};
-  };
-
   u32 set_index(u32 addr) const { return (addr / cfg_.line_bytes) % cfg_.num_sets(); }
   u32 tag_of(u32 addr) const { return addr / cfg_.line_bytes / cfg_.num_sets(); }
-  const Line* find(u32 addr) const;
-  Line* find(u32 addr);
+  u32 index_of(const Line& line) const { return static_cast<u32>(&line - lines_.data()); }
+  u32 victim_way(u32 addr) const;
   void touch(Line& line);
 
   CacheConfig cfg_;

@@ -14,7 +14,9 @@ MemSystem::MemSystem(unsigned core_id, const MemSystemConfig& cfg)
       icache_(cfg.icache),
       dcache_(cfg.dcache),
       itcm_(kItcmBase, cfg.itcm_size),
-      dtcm_(kDtcmBase, cfg.dtcm_size) {}
+      dtcm_(kDtcmBase, cfg.dtcm_size) {
+  assert(cfg.icache.line_bytes >= 8 && "a fetch packet lies within one line");
+}
 
 // Request-path emissions are stamped now_ + 1 (the cycle being evaluated:
 // the CPU issues requests before this MemSystem's tick increments now_),
@@ -31,9 +33,9 @@ void MemSystem::emit_cache(trace::EventKind kind, unsigned unit, u32 addr, u32 a
 }
 
 // emit_cache sits on the hit paths, which run once per fetch packet / data
-// access; its arguments (set/way lookups) must not be evaluated when tracing
-// is off, so every call goes through this guard — same laziness contract as
-// DETSTL_TRACE itself.
+// access; its arguments must not be evaluated when tracing is off, so every
+// call goes through this guard — same laziness contract as DETSTL_TRACE
+// itself.
 #define EMIT_CACHE(...)                        \
   do {                                         \
     if (sink_ != nullptr) emit_cache(__VA_ARGS__); \
@@ -103,11 +105,11 @@ void MemSystem::ifetch_request(u32 addr, SharedBus& bus) {
   assert(is_bus(addr) && "ifetch outside ITCM/flash/SRAM");
 
   if (icache_enabled()) {
-    if (icache_.lookup(addr)) {
-      EMIT_CACHE(trace::EventKind::kCacheHit, 0, addr, icache_.set_of(addr),
-                 static_cast<u32>(icache_.way_of(addr)), true);
-      slot.data = static_cast<u64>(icache_.read(addr, 4)) |
-                  (static_cast<u64>(icache_.read(addr + 4, 4)) << 32);
+    if (const Cache::Line* hit = icache_.lookup(addr)) {
+      EMIT_CACHE(trace::EventKind::kCacheHit, 0, addr, icache_.set_of(*hit),
+                 icache_.way_of(*hit), true);
+      slot.data = icache_.read(*hit, addr, 4) |
+                  u64{icache_.read(*hit, addr + 4, 4)} << 32;
       slot.state = IState::kDone;
       return;
     }
@@ -191,15 +193,9 @@ void MemSystem::data_request(const DataOp& op, SharedBus& bus) {
     // Atomicity lives on the bus. A dirty cached copy must be written back
     // first so the bus-side read-modify-write sees current data; a clean
     // resident copy is updated in place after the AMO completes.
-    if (dcache_enabled() && dcache_.line_dirty(op.addr)) {
-      const u32 line = align_down(op.addr, dcache_.config().line_bytes);
-      EMIT_CACHE(trace::EventKind::kCacheWriteback, 1, line,
-                 dcache_.set_of(line),
-                 static_cast<u32>(dcache_.way_of(line)), true);
-      bus.submit(dport_id(), BusReq{.addr = line,
-                                    .bytes = dcache_.config().line_bytes,
-                                    .write = true,
-                                    .wdata = dcache_.read_line(op.addr)});
+    const Cache::Line* cached = dcache_enabled() ? dcache_.find(op.addr) : nullptr;
+    if (cached != nullptr && cached->dirty()) {
+      submit_writeback(*cached, bus);
       dstate_ = DState::kAmoFlush;
       return;
     }
@@ -218,10 +214,10 @@ void MemSystem::data_request(const DataOp& op, SharedBus& bus) {
     return;
   }
 
-  if (dcache_.lookup(op.addr)) {
-    EMIT_CACHE(trace::EventKind::kCacheHit, 1, op.addr, dcache_.set_of(op.addr),
-               static_cast<u32>(dcache_.way_of(op.addr)), true);
-    dcache_apply();
+  if (Cache::Line* hit = dcache_.lookup(op.addr)) {
+    EMIT_CACHE(trace::EventKind::kCacheHit, 1, op.addr, dcache_.set_of(*hit),
+               dcache_.way_of(*hit), true);
+    dcache_apply(*hit);
     dstate_ = DState::kDone;
     return;
   }
@@ -238,15 +234,24 @@ void MemSystem::data_request(const DataOp& op, SharedBus& bus) {
   }
 
   // Allocate: writeback the victim if dirty, then refill.
-  BusReq wb{.bytes = dcache_.config().line_bytes, .write = true};
-  if (dcache_.victim_dirty(op.addr, wb.addr, wb.wdata)) {
-    EMIT_CACHE(trace::EventKind::kCacheWriteback, 1, wb.addr,
-               dcache_.set_of(wb.addr), dcache_.victim_way(op.addr), true);
-    bus.submit(dport_id(), wb);
+  // The refill picks its own victim when it lands (fill): an injector may
+  // drop a way while this writeback is on the bus.
+  if (const Cache::Line* victim = dcache_.dirty_victim(op.addr)) {
+    submit_writeback(*victim, bus);
     dstate_ = DState::kWriteback;
     return;
   }
   start_drefill(bus);
+}
+
+void MemSystem::submit_writeback(const Cache::Line& line, SharedBus& bus) {
+  const u32 addr = dcache_.line_addr(line);
+  EMIT_CACHE(trace::EventKind::kCacheWriteback, 1, addr, dcache_.set_of(line),
+             dcache_.way_of(line), true);
+  bus.submit(dport_id(), BusReq{.addr = addr,
+                                .bytes = dcache_.config().line_bytes,
+                                .write = true,
+                                .wdata = line.data()});
 }
 
 void MemSystem::start_drefill(SharedBus& bus) {
@@ -255,12 +260,12 @@ void MemSystem::start_drefill(SharedBus& bus) {
   dstate_ = DState::kRefill;
 }
 
-void MemSystem::dcache_apply() {
+void MemSystem::dcache_apply(Cache::Line& line) {
   if (dop_.write) {
     assert(is_sram(dop_.addr) && "stores must target SRAM");
-    dcache_.write(dop_.addr, dop_.wdata, dop_.size);
+    dcache_.write(line, dop_.addr, dop_.wdata, dop_.size);
   } else {
-    drdata_ = dcache_.read(dop_.addr, dop_.size);
+    drdata_ = dcache_.read(line, dop_.addr, dop_.size);
   }
 }
 
@@ -278,11 +283,11 @@ void MemSystem::tick(SharedBus& bus) {
     if (!bus.complete(id)) continue;
     if (slot.state == IState::kRefill) {
       const u32 line = align_down(slot.addr, icache_.config().line_bytes);
-      icache_.fill(line, bus.rdata(id));
-      EMIT_CACHE(trace::EventKind::kCacheRefill, 0, line, icache_.set_of(line),
-                 static_cast<u32>(icache_.way_of(line)), false);
-      slot.data = static_cast<u64>(icache_.read(slot.addr, 4)) |
-                  (static_cast<u64>(icache_.read(slot.addr + 4, 4)) << 32);
+      const Cache::Line& filled = icache_.fill(line, bus.rdata(id));
+      EMIT_CACHE(trace::EventKind::kCacheRefill, 0, line, icache_.set_of(filled),
+                 icache_.way_of(filled), false);
+      slot.data = icache_.read(filled, slot.addr, 4) |
+                  u64{icache_.read(filled, slot.addr + 4, 4)} << 32;
     } else {
       slot.data = static_cast<u64>(bus.rdata(id)[0]) |
                   (static_cast<u64>(bus.rdata(id)[1]) << 32);
@@ -317,11 +322,11 @@ void MemSystem::tick(SharedBus& bus) {
       break;
     case DState::kRefill: {
       const u32 line = align_down(dop_.addr, dcache_.config().line_bytes);
-      dcache_.fill(line, bus.rdata(dport_id()));
-      EMIT_CACHE(trace::EventKind::kCacheRefill, 1, line, dcache_.set_of(line),
-                 static_cast<u32>(dcache_.way_of(line)), false);
+      Cache::Line& filled = dcache_.fill(line, bus.rdata(dport_id()));
+      EMIT_CACHE(trace::EventKind::kCacheRefill, 1, line, dcache_.set_of(filled),
+                 dcache_.way_of(filled), false);
       bus.retire(dport_id());
-      dcache_apply();
+      dcache_apply(filled);
       dstate_ = DState::kDone;
       break;
     }
@@ -336,9 +341,8 @@ void MemSystem::tick(SharedBus& bus) {
       drdata_ = bus.rdata(dport_id())[0];
       bus.retire(dport_id());
       // Keep a resident cached copy coherent with the AMO result.
-      if (dcache_enabled() && dcache_.probe(dop_.addr)) {
-        dcache_.write(dop_.addr, drdata_ + dop_.wdata, 4);
-      }
+      if (Cache::Line* cached = dcache_enabled() ? dcache_.find(dop_.addr) : nullptr)
+        dcache_.write(*cached, dop_.addr, drdata_ + dop_.wdata, 4);
       dstate_ = DState::kDone;
       break;
     default:

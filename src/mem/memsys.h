@@ -115,7 +115,8 @@ class MemSystem {
     kIdle, kBusDirect, kWriteback, kRefill, kAmoFlush, kAmoBus, kDone
   };
 
-  void dcache_apply();
+  void dcache_apply(Cache::Line& line);
+  void submit_writeback(const Cache::Line& line, SharedBus& bus);
   void start_drefill(SharedBus& bus);
   bool ibus_inflight() const;
   bool idraining() const;

@@ -155,13 +155,15 @@ void DisturbanceInjector::apply(const Disturbance& d, soc::Soc& soc,
             // An eviction writes dirty data back before dropping the line,
             // so memory stays architecturally correct — only the timing and
             // residency are disturbed.
-            if (cache.probe(addr) && cache.line_dirty(addr)) {
-              const mem::LineWords& data = cache.read_line(addr);
-              const u32 base = addr & ~(cache.config().line_bytes - 1);
-              for (u32 i = 0; i < cache.config().line_bytes / 4; ++i)
-                soc.debug_write32(base + 4 * i, data[i]);
+            if (mem::Cache::Line* line = cache.find(addr)) {
+              if (line->dirty()) {
+                const u32 base = cache.line_addr(*line);
+                for (u32 i = 0; i < cache.config().line_bytes / 4; ++i)
+                  soc.debug_write32(base + 4 * i, line->data()[i]);
+              }
+              cache.invalidate(*line);
+              applied = true;
             }
-            applied = cache.invalidate_line(addr);
             break;
           default: break;
         }

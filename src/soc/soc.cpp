@@ -110,7 +110,8 @@ Soc::RunResult Soc::run(u64 max_cycles) {
 u32 Soc::debug_read32(u32 addr) const {
   // Prefer a dirty cached copy if some core holds one (coherent debug view).
   for (const auto& c : cores_) {
-    if (c.memsys().dcache().probe(addr)) return c.memsys().dcache().read(addr, 4);
+    const mem::Cache& dcache = c.memsys().dcache();
+    if (const auto* line = dcache.find(addr)) return dcache.read(*line, addr, 4);
   }
   if (mem::is_flash(addr)) return flash_.read32(addr);
   assert(mem::is_sram(addr));

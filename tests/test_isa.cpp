@@ -70,10 +70,15 @@ TEST_P(RoundTrip, EncodeDecode) {
                             op == Op::kJalr || op == Op::kCsrr
                         ? in.rd
                         : out.rd);
-  if (reads_rs1(in)) EXPECT_EQ(out.rs1, in.rs1) << mnemonic(op);
-  if (reads_rs2(in)) EXPECT_EQ(out.rs2, in.rs2) << mnemonic(op);
-  if (op != Op::kCsrr && op != Op::kCsrw && op_class(op) != OpClass::kSys)
+  if (reads_rs1(in)) {
+    EXPECT_EQ(out.rs1, in.rs1) << mnemonic(op);
+  }
+  if (reads_rs2(in)) {
+    EXPECT_EQ(out.rs2, in.rs2) << mnemonic(op);
+  }
+  if (op != Op::kCsrr && op != Op::kCsrw && op_class(op) != OpClass::kSys) {
     EXPECT_EQ(out.imm, in.imm) << mnemonic(op);
+  }
   EXPECT_EQ(out.csr, in.csr) << mnemonic(op);
 }
 

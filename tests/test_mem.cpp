@@ -157,6 +157,13 @@ TEST_F(BusFixture, RoundRobinFairness) {
 
 CacheConfig small_cfg() { return CacheConfig{.size_bytes = 256, .ways = 2, .line_bytes = 32}; }
 
+// The word at `addr` of its resident line (test helper: asserts residency).
+u32 cached_word(const Cache& c, u32 addr) {
+  const Cache::Line* line = c.find(addr);
+  EXPECT_NE(line, nullptr);
+  return line != nullptr ? c.read(*line, addr, 4) : 0;
+}
+
 LineWords make_beats(u32 seed) {
   LineWords b{};
   for (u32 i = 0; i < b.size(); ++i) b[i] = seed + i;
@@ -165,22 +172,24 @@ LineWords make_beats(u32 seed) {
 
 TEST(Cache, MissThenHit) {
   Cache c(small_cfg());
-  EXPECT_FALSE(c.lookup(0x1000));
-  c.fill(0x1000, make_beats(10));
-  EXPECT_TRUE(c.lookup(0x1000));
-  EXPECT_TRUE(c.lookup(0x101c));  // same line
-  EXPECT_EQ(c.read(0x1004, 4), 11u);
+  EXPECT_EQ(c.lookup(0x1000), nullptr);
+  const Cache::Line& filled = c.fill(0x1000, make_beats(10));
+  EXPECT_EQ(c.lookup(0x1000), &filled);
+  const Cache::Line* hit = c.lookup(0x101c);  // same line
+  ASSERT_EQ(hit, &filled);
+  EXPECT_EQ(c.read(*hit, 0x1004, 4), 11u);
   EXPECT_EQ(c.stats().hits, 2u);
   EXPECT_EQ(c.stats().misses, 1u);
 }
 
 TEST(Cache, SubWordReadWrite) {
   Cache c(small_cfg());
-  c.fill(0, make_beats(0));
-  c.write(2, 0xab, 1);
-  EXPECT_EQ(c.read(2, 1), 0xabu);
-  EXPECT_EQ(c.read(0, 4) & 0x00ff0000u, 0x00ab0000u);
-  EXPECT_TRUE(c.line_dirty(0));
+  Cache::Line& l = c.fill(0, make_beats(0));
+  EXPECT_FALSE(l.dirty());
+  c.write(l, 2, 0xab, 1);
+  EXPECT_EQ(c.read(l, 2, 1), 0xabu);
+  EXPECT_EQ(c.read(l, 0, 4) & 0x00ff0000u, 0x00ab0000u);
+  EXPECT_TRUE(l.dirty());
 }
 
 TEST(Cache, LruEviction) {
@@ -188,53 +197,54 @@ TEST(Cache, LruEviction) {
   // Three lines mapping to set 0: 0x0, 0x80, 0x100.
   c.fill(0x000, make_beats(1));
   c.fill(0x080, make_beats(2));
-  EXPECT_TRUE(c.probe(0x000));
+  EXPECT_NE(c.find(0x000), nullptr);
   c.lookup(0x000);  // touch 0x000 -> 0x080 becomes LRU
-  c.fill(0x100, make_beats(3));
-  EXPECT_TRUE(c.probe(0x000));
-  EXPECT_FALSE(c.probe(0x080));
-  EXPECT_TRUE(c.probe(0x100));
+  const Cache::Line& l = c.fill(0x100, make_beats(3));
+  EXPECT_NE(c.find(0x000), nullptr);
+  EXPECT_EQ(c.find(0x080), nullptr);
+  EXPECT_EQ(c.find(0x100), &l);
+  EXPECT_EQ(c.set_of(l), 0u);
+  EXPECT_EQ(c.line_addr(l), 0x100u);
 }
 
 TEST(Cache, VictimDirtyReportsWritebackData) {
   Cache c(small_cfg());
-  c.fill(0x000, make_beats(1));
+  Cache::Line& x = c.fill(0x000, make_beats(1));
   c.fill(0x080, make_beats(2));
-  c.write(0x004, 0xdeadbeef, 4);  // dirty line 0x000 (LRU after fill of 0x080? no: 0x000 touched by write)
-  c.lookup(0x080);                // make 0x080 MRU -> victim is 0x000
-  u32 wb_addr = 0;
-  LineWords beats{};
-  ASSERT_TRUE(c.victim_dirty(0x100, wb_addr, beats));
-  EXPECT_EQ(wb_addr, 0x000u);
-  EXPECT_EQ(beats[1], 0xdeadbeefu);
+  EXPECT_EQ(c.dirty_victim(0x100), nullptr);  // victim 0x000 is clean
+  c.write(x, 0x004, 0xdeadbeef, 4);  // dirty line 0x000 (now MRU: touched by write)
+  c.lookup(0x080);                   // make 0x080 MRU -> victim is 0x000
+  const Cache::Line* victim = c.dirty_victim(0x100);
+  ASSERT_EQ(victim, &x);
+  EXPECT_EQ(c.line_addr(*victim), 0x000u);
+  EXPECT_EQ(victim->data()[1], 0xdeadbeefu);
 }
 
 TEST(Cache, ByteLanesAreLittleEndianWithinTheLineWords) {
   Cache c(small_cfg());
-  c.fill(0, LineWords{0x44332211, 0x88776655});
-  EXPECT_EQ(c.read(1, 1), 0x22u);
-  EXPECT_EQ(c.read(2, 2), 0x4433u);
-  EXPECT_EQ(c.read(3, 2), 0x5544u);  // straddles words 0 and 1
-  EXPECT_EQ(c.read(2, 4), 0x66554433u);
-  c.write(5, 0xaabb, 2);
-  EXPECT_EQ(c.read_line(0)[1], 0x88aabb55u);
-  c.write(3, 0xccdd, 2);
-  EXPECT_EQ(c.read_line(0)[0], 0xdd332211u);
-  EXPECT_EQ(c.read_line(0)[1], 0x88aabbccu);
+  Cache::Line& l = c.fill(0, LineWords{0x44332211, 0x88776655});
+  EXPECT_EQ(c.read(l, 1, 1), 0x22u);
+  EXPECT_EQ(c.read(l, 2, 2), 0x4433u);
+  EXPECT_EQ(c.read(l, 3, 2), 0x5544u);  // straddles words 0 and 1
+  EXPECT_EQ(c.read(l, 2, 4), 0x66554433u);
+  c.write(l, 5, 0xaabb, 2);
+  EXPECT_EQ(l.data()[1], 0x88aabb55u);
+  c.write(l, 3, 0xccdd, 2);
+  EXPECT_EQ(l.data()[0], 0xdd332211u);
+  EXPECT_EQ(l.data()[1], 0x88aabbccu);
   // A bit index counts from the line base: bit 40 is bit 0 of byte 5.
   ASSERT_TRUE(c.flip_bit(0, 40));
-  EXPECT_EQ(c.read(5, 1), 0xbau);
+  EXPECT_EQ(c.read(l, 5, 1), 0xbau);
   ASSERT_TRUE(c.force_bit(0, 31, false));
-  EXPECT_EQ(c.read(3, 1), 0x5du);
+  EXPECT_EQ(c.read(l, 3, 1), 0x5du);
 }
 
 TEST(Cache, InvalidateAllDiscardsDirtyData) {
   Cache c(small_cfg());
-  c.fill(0, make_beats(7));
-  c.write(0, 0x55, 1);
+  c.write(c.fill(0, make_beats(7)), 0, 0x55, 1);
   c.invalidate_all();
   EXPECT_EQ(c.valid_lines(), 0u);
-  EXPECT_FALSE(c.probe(0));
+  EXPECT_EQ(c.find(0), nullptr);
 }
 
 // ----------------------------------------------------------------------------
@@ -335,8 +345,9 @@ TEST_F(MemSysFixture, WriteAllocateStoreMissFillsLine) {
   ms.data_request({.addr = kSramBase + 0x40, .size = 4, .write = true, .wdata = 7}, bus);
   wait_data();
   ms.data_ack();
-  EXPECT_TRUE(ms.dcache().probe(kSramBase + 0x40));
-  EXPECT_TRUE(ms.dcache().line_dirty(kSramBase + 0x40));
+  const Cache::Line* line = ms.dcache().find(kSramBase + 0x40);
+  ASSERT_NE(line, nullptr);
+  EXPECT_TRUE(line->dirty());
   // SRAM not yet updated (write-back).
   EXPECT_EQ(sram.read32(kSramBase + 0x40), 0u);
   // Subsequent store to the same line: same-cycle hit.
@@ -349,7 +360,7 @@ TEST_F(MemSysFixture, NoWriteAllocateStoreMissWritesAround) {
   ms.data_request({.addr = kSramBase + 0x40, .size = 4, .write = true, .wdata = 7}, bus);
   wait_data();
   ms.data_ack();
-  EXPECT_FALSE(ms.dcache().probe(kSramBase + 0x40));
+  EXPECT_EQ(ms.dcache().find(kSramBase + 0x40), nullptr);
   EXPECT_EQ(sram.read32(kSramBase + 0x40), 7u);
 }
 
@@ -360,7 +371,7 @@ TEST_F(MemSysFixture, LoadMissAllocatesEitherPolicy) {
   wait_data();
   EXPECT_EQ(ms.data_rdata(), 123u);
   ms.data_ack();
-  EXPECT_TRUE(ms.dcache().probe(kSramBase + 0x80));
+  EXPECT_NE(ms.dcache().find(kSramBase + 0x80), nullptr);
 }
 
 TEST_F(MemSysFixture, DirtyVictimWrittenBack) {
@@ -379,6 +390,39 @@ TEST_F(MemSysFixture, DirtyVictimWrittenBack) {
   EXPECT_EQ(sram.read32(kSramBase), 0x100u);
 }
 
+// The refill picks its victim when it lands, not when the miss starts: a
+// way the disturbance injector drops while the dirty victim's writeback is
+// on the bus takes the refill, and the written-back line stays resident.
+TEST_F(MemSysFixture, RefillVictimIsChosenAtFillTime) {
+  ms.set_cache_cfg(isa::kCacheCfgDEn | isa::kCacheCfgWriteAllocate);
+  const u32 stride = ms.dcache().config().num_sets() * 32;
+  const u32 x = kSramBase, y = kSramBase + stride, z = kSramBase + 2 * stride;
+  ms.data_request({.addr = x, .size = 4, .write = true, .wdata = 0x5a}, bus);
+  wait_data();
+  ms.data_ack();
+  ms.data_request({.addr = y, .size = 4}, bus);  // clean, MRU: x is the victim
+  wait_data();
+  ms.data_ack();
+  const Cache::Line* y_line = ms.dcache().find(y);
+  ASSERT_NE(y_line, nullptr);
+  const u32 y_way = ms.dcache().way_of(*y_line);
+
+  ms.data_request({.addr = z, .size = 4}, bus);  // miss: x's writeback starts
+  ASSERT_FALSE(ms.data_done());
+  ASSERT_TRUE(ms.dcache().invalidate_line(y));
+  wait_data();
+  ms.data_ack();
+
+  const Cache::Line* refilled = ms.dcache().find(z);
+  ASSERT_NE(refilled, nullptr);
+  EXPECT_EQ(ms.dcache().way_of(*refilled), y_way);
+  const Cache::Line* victim = ms.dcache().find(x);
+  ASSERT_NE(victim, nullptr);
+  EXPECT_TRUE(victim->dirty());
+  EXPECT_EQ(ms.dcache().stats().writebacks, 0u);
+  EXPECT_EQ(sram.read32(x), 0x5au);  // the writeback itself still happened
+}
+
 TEST_F(MemSysFixture, AmoBypassesAndUpdatesCache) {
   ms.set_cache_cfg(isa::kCacheCfgDEn | isa::kCacheCfgWriteAllocate);
   sram.write32(kSramBase + 0x200, 10);
@@ -392,7 +436,7 @@ TEST_F(MemSysFixture, AmoBypassesAndUpdatesCache) {
   EXPECT_EQ(ms.data_rdata(), 10u);
   ms.data_ack();
   EXPECT_EQ(sram.read32(kSramBase + 0x200), 15u);
-  EXPECT_EQ(ms.dcache().read(kSramBase + 0x200, 4), 15u);
+  EXPECT_EQ(cached_word(ms.dcache(), kSramBase + 0x200), 15u);
 }
 
 TEST_F(MemSysFixture, AmoFlushesDirtyLineFirst) {
@@ -434,7 +478,7 @@ TEST(MemSysLineSize, SixteenByteLinesMoveOnlyTheirWords) {
   // Two more lines of set 0 evict the dirty first line.
   op({.addr = kSramBase + stride, .size = 4, .write = true, .wdata = 0x200});
   op({.addr = kSramBase + 2 * stride, .size = 4, .write = true, .wdata = 0x300});
-  EXPECT_FALSE(ms.dcache().probe(kSramBase));
+  EXPECT_EQ(ms.dcache().find(kSramBase), nullptr);
   EXPECT_EQ(sram.read32(kSramBase), 0x100u);
   EXPECT_EQ(sram.read32(kSramBase + 4), 0xfeedu);  // refilled, kept
   EXPECT_EQ(sram.read32(kSramBase + 8), 0x102u);
@@ -442,7 +486,7 @@ TEST(MemSysLineSize, SixteenByteLinesMoveOnlyTheirWords) {
   // Refill the written-back line: its four words come back from SRAM.
   op({.addr = kSramBase + 8, .size = 4});
   EXPECT_EQ(ms.data_rdata(), 0x102u);
-  EXPECT_EQ(ms.dcache().read(kSramBase + 4, 4), 0xfeedu);
+  EXPECT_EQ(cached_word(ms.dcache(), kSramBase + 4), 0xfeedu);
   // AMO on a dirty line flushes the 16-byte line first, then adds in SRAM.
   op({.addr = kSramBase + 2 * stride + 4, .size = 4, .write = true, .wdata = 0x301});
   op({.addr = kSramBase + 2 * stride + 4, .size = 4, .amo_add = true, .wdata = 1});

@@ -423,8 +423,9 @@ TEST(ChromeTrace, JsonParsesBackAndTimelinesAreMonotone) {
     ASSERT_NE(ts, nullptr);
     ASSERT_EQ(ts->kind, Json::Kind::kNumber);
     const auto it = last_ts.find(track);
-    if (it != last_ts.end())
+    if (it != last_ts.end()) {
       EXPECT_GE(ts->number, it->second) << "non-monotone ts on track " << track;
+    }
     last_ts[track] = ts->number;
   }
   // Both traced cores produced events, and every track that carries events
@@ -433,6 +434,50 @@ TEST(ChromeTrace, JsonParsesBackAndTimelinesAreMonotone) {
   for (const auto& [track, ts] : last_ts) {
     (void)ts;
     EXPECT_TRUE(named_tracks.count(track)) << "unnamed track " << track;
+  }
+}
+
+// Mission and soak events land on their own core's track with the same
+// unit/addr/a/b args as the supervisor events.
+TEST(ChromeTrace, MissionAndSoakEventsDrawOnTheirCoreTrack) {
+  using trace::EventKind;
+  trace::ChromeTraceWriter writer;
+  writer.on_event({.cycle = 5, .kind = EventKind::kMissionSlice, .core = 1, .unit = 0,
+                   .addr = 0x1000, .a = 2, .b = 3});
+  writer.on_event({.cycle = 6, .kind = EventKind::kMissionCheck, .core = 2, .unit = 0,
+                   .addr = 0, .a = 0xbeef, .b = 7});
+  writer.on_event({.cycle = 7, .kind = EventKind::kSoakUpset, .core = 2, .unit = 1,
+                   .addr = 0x20000040, .a = 9, .b = 4});
+  std::ostringstream os;
+  writer.write(os);
+  Json root;
+  ASSERT_TRUE(JsonParser(os.str()).parse(root)) << "trace JSON failed to parse";
+  const Json* events = root.find("traceEvents");
+  ASSERT_NE(events, nullptr);
+
+  struct Want {
+    const char* name;
+    int tid;
+    double unit, a, b;
+    const char* addr;
+  };
+  const Want wants[] = {{"mission-slice", 1, 0, 2, 3, "0x00001000"},
+                        {"mission-check", 2, 0, 0xbeef, 7, "0x00000000"},
+                        {"soak-upset", 2, 1, 9, 4, "0x20000040"}};
+  for (const Want& w : wants) {
+    const Json* found = nullptr;
+    for (const Json& ev : events->array) {
+      const Json* name = ev.find("name");
+      if (name != nullptr && name->string == w.name) found = &ev;
+    }
+    ASSERT_NE(found, nullptr) << w.name;
+    EXPECT_EQ(found->find("tid")->number, w.tid) << w.name;
+    const Json* args = found->find("args");
+    ASSERT_NE(args, nullptr) << w.name;
+    EXPECT_EQ(args->find("unit")->number, w.unit) << w.name;
+    EXPECT_EQ(args->find("addr")->string, w.addr) << w.name;
+    EXPECT_EQ(args->find("a")->number, w.a) << w.name;
+    EXPECT_EQ(args->find("b")->number, w.b) << w.name;
   }
 }
 
